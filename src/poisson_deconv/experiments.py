@@ -188,14 +188,9 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     merged = {**PRESETS[name], **mapping}
     merged.setdefault("max_iters", "500")
     merged.setdefault("lambda", "0.2")
-    unknown = (
-        set(merged)
-        - set(_COMMON)
-        - set(_ONED)
-        - set(_TWOD)
-        - {"experiment", "spline_levels", "peak", "max_iters", "lambda"}
-        - {f"max_iters_{m}" for m in ("rl", "srl", "rltv")}
-    )
+    # Accepted keys: any preset's, the preset name, and per-solver iteration caps.
+    caps = {f"max_iters_{m}" for m in ("rl", "srl", "rltv")}
+    unknown = set(merged) - set().union(*PRESETS.values(), caps, ["experiment"])
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
@@ -332,7 +327,6 @@ def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict:
             config=spec.config,
             ground_truth=truth,
             mode="nmse_optimal" if spec.oracle else "converged",
-            record_objective=False,
         )
         entry = {
             "nmse": nmse(truth, result.estimate),

@@ -50,10 +50,6 @@ class ConvKernel:
         if self.normalized and abs(float(taps.sum()) - 1.0) > _NORM_TOL:
             raise ValueError("kernel flagged normalized but taps do not sum to 1")
 
-    @property
-    def half_width(self) -> tuple[int, int]:
-        return (self.taps.shape[0] // 2, self.taps.shape[1] // 2)
-
 
 def make_kernel(taps, normalize: bool = True) -> ConvKernel:
     """Build a ConvKernel from raw taps, normalizing their sum to 1 by default."""

@@ -7,16 +7,18 @@ nonnegative representation coefficients with an extra elementwise
 division by v + lambda; RLTV inserts a total-variation curvature factor
 into the RL denominator. `run_solver` iterates any of them with either a
 relative-change stopping rule or an oracle rule that keeps the iterate
-with the lowest error against a known ground truth.
+with the lowest error against a known ground truth, synthesizing and
+blurring each iterate once for its next step, objective, NMSE and estimate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_DIV, l1_norm, log_inner, safe_div, weighted_l1
+from .core import EPS_DIV, as_image, l1_norm, log_inner, safe_div, weighted_l1
 from .metrics import nmse
 from .operators import ConvKernel, ForwardModel, conv_adjoint, conv_forward
 
@@ -57,9 +59,10 @@ class SolverConfig:
 class SolverTrace:
     """Per-iteration record of a solver run.
 
-    `objective` may be empty when objective recording was disabled;
-    `nmse` is None when no ground truth was supplied. `terminated_by`
-    is one of converged, max_iters, or nmse_optimal.
+    `objective` is empty only for traces built by hand; `nmse` is None
+    when no ground truth was supplied. `terminated_by` is one of
+    converged, max_iters, nmse_optimal, or non_finite (the step size came
+    out NaN or infinite; the offending iterate is the last one recorded).
     """
 
     rel_change: list[float] = field(default_factory=list)
@@ -97,20 +100,23 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
+def _neg_log_likelihood(g, blurred: np.ndarray) -> float:
+    # <1, y> - <g, log y> for the blurred model y, shared by both objectives.
+    return float(blurred.sum()) - log_inner(g, blurred)
+
+
 def ml_objective(g, kernel: ConvKernel, f) -> float:
     """Negative Poisson log-likelihood <1, Hf> - <g, log Hf> (constants dropped).
 
     With a normalized kernel the first term equals the l1 norm of f.
     Returns +inf when g is positive somewhere the blurred model vanishes.
     """
-    hf = conv_forward(kernel, np.asarray(f, dtype=np.float64))
-    return float(hf.sum()) - log_inner(g, hf)
+    return _neg_log_likelihood(g, conv_forward(kernel, np.asarray(f, dtype=np.float64)))
 
 
 def map_objective(g, model: ForwardModel, c, lam: float) -> float:
     """Penalized objective <1, Ac> - <g, log Ac> + lam * ||c||_1."""
-    ac = model.forward(c)
-    return float(ac.sum()) - log_inner(g, ac) + lam * l1_norm(c)
+    return _neg_log_likelihood(g, model.forward(c)) + lam * l1_norm(c)
 
 
 def map_objective_weighted(g, model: ForwardModel, c, lam: float) -> float:
@@ -137,24 +143,28 @@ def gradient_map(g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV
 
 
 # ---------------------------------------------------------------------------
-# Single multiplicative updates
+# Single multiplicative updates; `blurred` may pass in the iterate's blurred model.
 # ---------------------------------------------------------------------------
 
 
-def rl_step(g, kernel: ConvKernel, f, eps_div: float = EPS_DIV) -> np.ndarray:
+def rl_step(g, kernel: ConvKernel, f, eps_div: float = EPS_DIV, blurred=None) -> np.ndarray:
     """One RL update: f * H*{ g / H{f} } (pointwise product and ratio)."""
     f = np.asarray(f, dtype=np.float64)
-    ratio = safe_div(np.asarray(g, dtype=np.float64), conv_forward(kernel, f), eps_div)
+    blurred = conv_forward(kernel, f) if blurred is None else blurred
+    ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
     return f * conv_adjoint(kernel, ratio)
 
 
-def srl_step(g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV) -> np.ndarray:
+def srl_step(
+    g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV, blurred=None
+) -> np.ndarray:
     """One sparse-RL update: A*{ g / A{c} } * c / (v + lam).
 
     Multiplicative in c, so exact zeros stay exactly zero.
     """
     c = np.asarray(c, dtype=np.float64)
-    ratio = safe_div(np.asarray(g, dtype=np.float64), model.forward(c), eps_div)
+    blurred = model.forward(c) if blurred is None else blurred
+    ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
     return model.adjoint(ratio) * safe_div(c, model.v + lam, eps_div)
 
 
@@ -189,6 +199,7 @@ def rltv_step(
     gamma_tv: float,
     eps_div: float = EPS_DIV,
     eps_tv: float = 1e-8,
+    blurred=None,
 ) -> np.ndarray:
     """One TV-regularized RL update.
 
@@ -198,7 +209,8 @@ def rltv_step(
     """
     f = np.asarray(f, dtype=np.float64)
     denom = np.maximum(1.0 - gamma_tv * tv_curvature(f, eps_tv), DENOM_FLOOR)
-    ratio = safe_div(np.asarray(g, dtype=np.float64), conv_forward(kernel, f), eps_div)
+    blurred = conv_forward(kernel, f) if blurred is None else blurred
+    ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
     return np.maximum((f / denom) * conv_adjoint(kernel, ratio), 0.0)
 
 
@@ -218,7 +230,6 @@ def run_solver(
     config: SolverConfig | None = None,
     ground_truth=None,
     mode: str = "converged",
-    record_objective: bool = True,
     init=None,
 ) -> SolverResult:
     """Iterate a solver and return its final (or oracle-best) estimate.
@@ -229,8 +240,10 @@ def run_solver(
     relative step size drops below config.epsilon_stop; in `nmse_optimal`
     mode (requires `ground_truth`) all max_iters updates run and the
     iterate with the lowest error is returned, flagged as oracle-assisted.
-    Default starting points: a flat image carrying the total mass of g
-    for RL/RLTV, all-ones coefficients for SRL.
+    Either mode stops with `non_finite` once the step size is NaN or
+    infinite. Default starting points: a flat image carrying the total
+    mass of g for RL/RLTV, all-ones coefficients for SRL; an explicit
+    `init` must match the state's shape and be finite and nonnegative.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -239,63 +252,68 @@ def run_solver(
     if mode == "nmse_optimal" and ground_truth is None:
         raise ValueError("nmse_optimal mode requires a ground truth image")
     cfg = config if config is not None else SolverConfig()
-    g = np.asarray(g, dtype=np.float64)
+    g = as_image(g, "data g")
 
     if method == "srl":
         if model is None:
             raise ValueError("srl requires a forward model")
-        state = (
-            np.ones(model.coeff_shape)
-            if init is None
-            else np.array(init, dtype=np.float64)
-        )
-        step = lambda c: srl_step(g, model, c, cfg.lam, cfg.eps_div)
-        estimate = model.dictionary.synthesize
-        objective = lambda c: map_objective(g, model, c, cfg.lam)
+        if g.shape != model.image_shape:
+            raise ValueError(f"g has shape {g.shape}, the model expects {model.image_shape}")
+        kernel, synthesize = model.kernel, model.dictionary.synthesize
+        state = np.ones(model.coeff_shape)
+        step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y)
     else:
         if kernel is None:
             raise ValueError(f"{method} requires a convolution kernel")
-        state = (
-            np.full(g.shape, g.mean())
-            if init is None
-            else np.array(init, dtype=np.float64)
-        )
-        estimate = lambda f: f
+        synthesize = None
+        state = np.full(g.shape, g.mean())
         if method == "rl":
-            step = lambda f: rl_step(g, kernel, f, cfg.eps_div)
-            objective = lambda f: ml_objective(g, kernel, f)
+            step = lambda f, y: rl_step(g, kernel, f, cfg.eps_div, y)
         else:
-            step = lambda f: rltv_step(g, kernel, f, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv)
-            objective = lambda f: ml_objective(g, kernel, f) + cfg.gamma_tv * tv_norm(f)
+            step = lambda f, y: rltv_step(g, kernel, f, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv, y)
+    if init is not None:
+        init = np.array(init, dtype=np.float64)
+        if init.shape != state.shape:
+            raise ValueError(f"init shape {init.shape} does not match the state's {state.shape}")
+        if not np.all(np.isfinite(init)) or np.any(init < 0):
+            raise ValueError("init must be finite and nonnegative")
+        state = init
 
     track_nmse = ground_truth is not None
     trace = SolverTrace(nmse=[] if track_nmse else None, oracle=(mode == "nmse_optimal"))
-    best_state, best_err = None, np.inf
+    best, best_err = None, np.inf
 
-    terminated = "max_iters"
+    terminated = "nmse_optimal" if trace.oracle else "max_iters"
+    blurred = None  # the first step blurs its starting point itself
     for _ in range(cfg.max_iters):
-        new_state = step(state)
+        image = None  # only `blurred` is held across the step, to keep peak memory down
+        new_state = step(state, blurred)
         prev_norm = float(np.linalg.norm(state))
         delta = float(np.linalg.norm(new_state - state))
         rel = delta / prev_norm if prev_norm > 0 else np.inf
         state = new_state
+        image = state if synthesize is None else synthesize(state)
+        blurred = conv_forward(kernel, image)
+        objective = _neg_log_likelihood(g, blurred)
+        if method == "srl":
+            objective += cfg.lam * l1_norm(state)
+        elif method == "rltv":
+            objective += cfg.gamma_tv * tv_norm(state)
         trace.rel_change.append(rel)
-        if record_objective:
-            trace.objective.append(objective(state))
+        trace.objective.append(objective)
         if track_nmse:
-            err = nmse(ground_truth, estimate(state))
+            err = nmse(ground_truth, image)
             trace.nmse.append(err)
-            if mode == "nmse_optimal" and err < best_err:
-                best_state, best_err = state.copy(), err
+            if trace.oracle and err < best_err:
+                best, best_err = (state, image), err
+        if not math.isfinite(delta):
+            terminated = "non_finite"
+            break
         if mode == "converged" and rel < cfg.epsilon_stop:
             terminated = "converged"
             break
 
-    if mode == "nmse_optimal":
-        state = best_state if best_state is not None else state
-        terminated = "nmse_optimal"
+    if best is not None:
+        state, image = best
     trace.terminated_by = terminated
-
-    if method == "srl":
-        return SolverResult(estimate=estimate(state), coefficients=state, trace=trace)
-    return SolverResult(estimate=state, coefficients=None, trace=trace)
+    return SolverResult(image, state if method == "srl" else None, trace)

@@ -168,6 +168,12 @@ class TestRunExperiment:
         assert truth.shape == (32, 1)
         recon = load_pgm(out / "recon_srl_0.pgm")
         assert recon.shape == (32, 1)
+        # Every dumped per-trial trace has its objective column filled.
+        for solver in ("rl", "srl"):
+            for t in range(2):
+                text = (out / f"trace_{solver}_{t}.csv").read_text()
+                rows = [line.split(",") for line in text.splitlines()[1:]]
+                assert rows and all(np.isfinite(float(row[1])) for row in rows)
 
     def test_small_twod_spline_experiment(self, tmp_path):
         mapping = {

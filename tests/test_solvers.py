@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from poisson_deconv import operators, solvers
 from poisson_deconv.core import l1_norm, log_inner
+from poisson_deconv.metrics import nmse
 from poisson_deconv.operators import (
     ForwardModel,
     HaarBoxDictionary,
@@ -29,6 +31,7 @@ from poisson_deconv.solvers import (
     run_solver,
     srl_step,
     tv_curvature,
+    tv_norm,
 )
 
 
@@ -211,7 +214,7 @@ class TestGradient:
         c_true = rng.random(model.coeff_shape) + 0.5
         g = model.forward(c_true)
         cfg = SolverConfig(lam=0.0, epsilon_stop=1e-12, max_iters=20000)
-        res = run_solver("srl", g, model=model, config=cfg, record_objective=False)
+        res = run_solver("srl", g, model=model, config=cfg)
         c_star = res.coefficients
         assert np.all(c_star > 0)
         grad = gradient_map(g, model, c_star, 0.0)
@@ -370,10 +373,7 @@ class TestRunSolver:
         _, f_true = synth_sparse_signal(model.dictionary, kernel, 256.0, rng)
         g = poisson_sample(conv_forward(kernel, f_true), rng)
         cfg = SolverConfig(lam=0.2, epsilon_stop=1e-4, max_iters=2500)
-        res = run_solver(
-            "srl", g, model=model, config=cfg, ground_truth=f_true,
-            record_objective=False,
-        )
+        res = run_solver("srl", g, model=model, config=cfg, ground_truth=f_true)
         rc = res.trace.rel_change
         assert np.all(np.isfinite(rc))
         assert min(rc[:500]) < 5e-4
@@ -397,8 +397,6 @@ class TestRunSolver:
         )
         assert res.trace.terminated_by == "nmse_optimal"
         assert res.trace.oracle
-        from poisson_deconv.metrics import nmse
-
         assert abs(nmse(f_true, res.estimate) - min(res.trace.nmse)) < 1e-12
 
     def test_unknown_method_rejected(self):
@@ -424,3 +422,140 @@ class TestRunSolver:
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         assert path.read_text().strip().splitlines()[1] == "1,,0.5,"
+
+
+def _reference_run(method, g, kernel, model, cfg, truth, mode):
+    """run_solver written out over the public step, objective and metric functions."""
+    srl = method == "srl"
+    state = np.ones(model.coeff_shape) if srl else np.full(g.shape, g.mean())
+    rel, obj, err = [], [], []
+    best, best_err = None, np.inf
+    for _ in range(cfg.max_iters):
+        if method == "rl":
+            new = rl_step(g, kernel, state, cfg.eps_div)
+        elif srl:
+            new = srl_step(g, model, state, cfg.lam, cfg.eps_div)
+        else:
+            new = rltv_step(g, kernel, state, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv)
+        rel.append(float(np.linalg.norm(new - state)) / float(np.linalg.norm(state)))
+        state = new
+        image = model.dictionary.synthesize(state) if srl else state
+        if method == "rl":
+            obj.append(ml_objective(g, kernel, state))
+        elif srl:
+            obj.append(map_objective(g, model, state, cfg.lam))
+        else:
+            obj.append(ml_objective(g, kernel, state) + cfg.gamma_tv * tv_norm(state))
+        if truth is not None:
+            err.append(nmse(truth, image))
+            if mode == "nmse_optimal" and err[-1] < best_err:
+                best, best_err = image, err[-1]
+        if mode == "converged" and rel[-1] < cfg.epsilon_stop:
+            break
+    return rel, obj, (err if truth is not None else None), (image if best is None else best)
+
+
+class TestRunSolverMatchesReferenceLoop:
+    """One shared image and blurred model per iterate changes no bit of the
+    trace or the estimate against separate step, objective and NMSE calls."""
+
+    @pytest.mark.parametrize("method", ["rl", "srl", "rltv"])
+    @pytest.mark.parametrize(
+        "mode,with_truth",
+        [("converged", False), ("converged", True), ("nmse_optimal", True)],
+    )
+    def test_bit_identical(self, method, mode, with_truth):
+        rng = np.random.default_rng(30)
+        kernel = make_kernel(rng.random((3, 3)))
+        model = ForwardModel(kernel, SplineDictionary((16, 16), 2))
+        truth = rng.random((16, 16)) * 6.0
+        g = poisson_sample(conv_forward(kernel, truth) + 0.5, rng)
+        cfg = SolverConfig(lam=0.1, gamma_tv=0.01, epsilon_stop=3e-2, max_iters=40)
+        res = run_solver(
+            method, g, kernel=kernel, model=model, config=cfg,
+            ground_truth=truth if with_truth else None, mode=mode,
+        )
+        rel, obj, err, estimate = _reference_run(
+            method, g, kernel, model, cfg, truth if with_truth else None, mode
+        )
+        assert res.trace.rel_change == rel
+        assert res.trace.objective == obj
+        assert res.trace.nmse == err
+        np.testing.assert_array_equal(res.estimate, estimate)
+        if mode == "converged":
+            assert res.trace.terminated_by == "converged" and res.trace.n_iters < 40
+
+    def test_one_synthesis_and_blur_per_srl_iterate(self, monkeypatch):
+        """SRL synthesizes and blurs each iterate once (plus once for the
+        starting point) while recording the objective and the NMSE."""
+        rng = np.random.default_rng(31)
+        kernel = make_kernel(rng.random(5))
+        model = ForwardModel(kernel, HaarBoxDictionary(32, (1, 2)))
+        truth = model.dictionary.synthesize(rng.random(model.coeff_shape))
+        g = poisson_sample(conv_forward(kernel, truth), rng)
+        counts = {"synthesize": 0, "conv_forward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            HaarBoxDictionary, "synthesize",
+            counted("synthesize", HaarBoxDictionary.synthesize),
+        )
+        blur = counted("conv_forward", operators.conv_forward)
+        monkeypatch.setattr(operators, "conv_forward", blur)
+        monkeypatch.setattr(solvers, "conv_forward", blur)
+        res = run_solver(
+            "srl", g, model=model, config=SolverConfig(max_iters=25), ground_truth=truth
+        )
+        assert res.trace.n_iters == 25 and len(res.trace.objective) == 25
+        assert counts == {"synthesize": 26, "conv_forward": 26}
+
+
+class TestRunSolverInputs:
+    """Bad inputs are rejected before the first iteration."""
+
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            run_solver("rl", [[np.nan], [1.0]], kernel=identity_kernel())
+
+    def test_negative_data_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            run_solver("rl", [[-1.0], [3.0]], kernel=identity_kernel())
+
+    def test_data_shape_must_match_model(self):
+        model = ForwardModel(identity_kernel(), HaarBoxDictionary(8, (0, 1)))
+        with pytest.raises(ValueError, match="model expects"):
+            run_solver("srl", np.ones((4, 1)), model=model)
+
+    def test_init_shape_must_match_state(self):
+        model = ForwardModel(identity_kernel(), HaarBoxDictionary(8, (0, 1)))
+        with pytest.raises(ValueError, match="init shape"):
+            run_solver("srl", np.ones((8, 1)), model=model, init=np.ones((8, 1)))
+
+    def test_non_finite_init_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            run_solver(
+                "rl", np.ones((2, 1)), kernel=identity_kernel(), init=[[np.inf], [1.0]]
+            )
+
+    def test_negative_init_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_solver(
+                "rltv", np.ones((2, 2)), kernel=identity_kernel(), init=-np.ones((2, 2))
+            )
+
+    def test_non_finite_step_stops_the_run(self):
+        """A zero pixel under data with a subnormal division floor makes the
+        first RL step overflow; the run stops there and says so."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_solver(
+                "rl", [[1.0], [1.0]], kernel=identity_kernel(), init=[[0.0], [1.0]],
+                config=SolverConfig(eps_div=1e-320, max_iters=50),
+            )
+        assert res.trace.terminated_by == "non_finite"
+        assert res.trace.n_iters == 1
+        assert np.isnan(res.estimate[0, 0]) and res.estimate[1, 0] == 1.0
