@@ -12,10 +12,12 @@ from .metrics import MetricReport, average_trials, nmse, ssim
 from .operators import (
     ConvKernel,
     ForwardModel,
+    FourierFilter,
     HaarBoxDictionary,
     IdentityDictionary,
     PatchDictionary,
     SplineDictionary,
+    blur_operator,
     conv_adjoint,
     conv_forward,
     gaussian_kernel_1d,

@@ -15,6 +15,13 @@ dictionaries map nonnegative coefficients to images:
 Composing blur with synthesis gives the forward model used by the sparse
 solver, along with its column-sum vector v (the adjoint applied to the
 all-ones image).
+
+Under periodic boundaries the blur and the spline pyramid are circulant,
+so the DFT diagonalizes them: the solvers apply them to 2-D images as one
+pointwise multiply by a precomputed transfer function (FourierFilter).
+The data path (conv_forward, conv_adjoint and the dictionaries' own
+synthesize/adjoint) stays direct, so it keeps exact zeros, and single
+columns stay direct because a short direct pass beats an FFT pair there.
 """
 
 from __future__ import annotations
@@ -49,6 +56,13 @@ class ConvKernel:
             raise ValueError("kernel taps must be finite and nonnegative")
         if self.normalized and abs(float(taps.sum()) - 1.0) > _NORM_TOL:
             raise ValueError("kernel flagged normalized but taps do not sum to 1")
+
+    # The direct blur, so a kernel can stand wherever a FourierFilter does.
+    def forward(self, x) -> np.ndarray:
+        return conv_forward(self, x)
+
+    def adjoint(self, y) -> np.ndarray:
+        return conv_adjoint(self, y)
 
 
 def make_kernel(taps, normalize: bool = True) -> ConvKernel:
@@ -113,6 +127,92 @@ def conv_adjoint(kernel: ConvKernel, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     _check_fits(kernel, y)
     return ndimage.correlate(y, kernel.taps, mode="wrap")
+
+
+def _checked(x, shape) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise ValueError(f"input shape {x.shape} does not match {shape}")
+    return x
+
+
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    # rfft2 over the last two axes, the column pass in place: one complex array.
+    spec = np.fft.rfft(x, axis=-1)
+    return np.fft.fft(spec, axis=-2, out=spec)
+
+
+def _image(spec: np.ndarray, cols: int) -> np.ndarray:
+    # Inverse of _spectrum; overwrites `spec`.
+    return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), n=cols, axis=-1)
+
+
+class FourierFilter:
+    """Centred 2-D taps applied circularly by multiplying with a precomputed
+    transfer function, the DFT of the taps wrapped onto the image grid.
+
+    `taps` is one odd-sized 2-D kernel, or a list of J of them (one per
+    dictionary level); `shape` is the image shape, which no kernel may
+    exceed. For one kernel, forward and adjoint match conv_forward and
+    conv_adjoint. For a list, forward maps J coefficient planes to the sum
+    of their convolutions and adjoint maps an image to its J correlations.
+    The transfer function is stored real when every kernel is
+    centrosymmetric to rounding. Results match the direct passes to rounding, so an
+    entry that is exactly zero there can come out near +-1e-17 here; callers
+    that need nonnegativity clamp.
+    """
+
+    def __init__(self, taps, shape: tuple[int, int]):
+        rows, cols = int(shape[0]), int(shape[1])
+        self.levels = len(taps) if isinstance(taps, list) else 0
+        kernels = [np.asarray(k, dtype=np.float64) for k in (taps if self.levels else [taps])]
+        # Centrosymmetric taps have a real transfer function. Asymmetry at
+        # the rounding level (the level-2 cubic B-spline is one ulp off) adds
+        # an imaginary part far below the FFT's own error, so it is dropped.
+        symmetric = all(
+            np.abs(k - k[::-1, ::-1]).max() <= 4 * np.finfo(np.float64).eps * np.abs(k).max()
+            for k in kernels
+        )
+        spectra = []
+        for k in kernels:
+            kr, kc = k.shape
+            if kr % 2 == 0 or kc % 2 == 0:
+                raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
+            if kr > rows or kc > cols:
+                raise ValueError(f"kernel {k.shape} larger than image {(rows, cols)}")
+            # Centre tap at pixel (0, 0), the rest wrapped around the edges.
+            psf = np.zeros((rows, cols))
+            psf[np.ix_((np.arange(kr) - kr // 2) % rows, (np.arange(kc) - kc // 2) % cols)] = k
+            spectra.append(_spectrum(psf))
+        transfer = np.stack([t.real for t in spectra] if symmetric else spectra)
+        self.image_shape = (rows, cols)
+        self.input_shape = (self.levels, rows, cols) if self.levels else self.image_shape
+        self.transfer = transfer if self.levels else transfer[0]
+        self._adjoint_transfer = self.transfer if symmetric else np.conj(self.transfer)
+
+    def forward(self, x) -> np.ndarray:
+        spec = _spectrum(_checked(x, self.input_shape))
+        spec *= self.transfer
+        return _image(spec.sum(axis=0) if self.levels else spec, self.image_shape[1])
+
+    def adjoint(self, y) -> np.ndarray:
+        spec = _spectrum(_checked(y, self.image_shape))
+        # One kernel multiplies in place; J levels broadcast to J spectra.
+        spec = np.multiply(spec, self._adjoint_transfer, out=None if self.levels else spec)
+        return _image(spec, self.image_shape[1])
+
+
+def blur_operator(kernel: ConvKernel | FourierFilter, shape) -> ConvKernel | FourierFilter:
+    """The blur to iterate with on images of `shape`.
+
+    A single column keeps the kernel's direct taps: at N=128 with 13 taps a
+    direct pass takes about 20 us and a FourierFilter pass about 45 us (on
+    a 2-vCPU Xeon host). Any wider image gets a FourierFilter; one already
+    built is returned as it is.
+    """
+    if isinstance(kernel, FourierFilter) or shape[1] == 1:
+        return kernel
+    return FourierFilter(kernel.taps, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +444,11 @@ class PatchDictionary:
 class ForwardModel:
     """Composed measurement map: dictionary synthesis followed by blur.
 
+    `blur` is the blur_operator for the image shape. On 2-D images a
+    spline dictionary is also applied through a FourierFilter, and the
+    synthesized image is clamped at 0 against FFT round-off; other
+    dictionaries apply their own synthesize and adjoint.
+
     Precomputes v, the adjoint applied to the all-ones image, which the
     sparse solver uses as its denominator weight. v is nonnegative by
     construction and strictly positive whenever every atom retains a
@@ -355,15 +460,40 @@ class ForwardModel:
         self.dictionary = dictionary
         self.image_shape = dictionary.image_shape
         self.coeff_shape = dictionary.coeff_shape
-        self.v = self.adjoint(np.ones(self.image_shape))
+        self.blur = blur_operator(kernel, self.image_shape)
+        self._synthesis = None
+        if isinstance(self.blur, FourierFilter):
+            if isinstance(dictionary, SplineDictionary):
+                self._synthesis = FourierFilter(
+                    [np.outer(b, b) for b in dictionary.generators], self.image_shape
+                )
+            # The blur's adjoint maps the ones image to the constant tap sum;
+            # filling that in skips a transform whose temporaries would set
+            # the peak memory of a large model's set-up.
+            self.v = self._analyze(np.full(self.image_shape, float(kernel.taps.sum())))
+        else:
+            self.v = self.adjoint(np.ones(self.image_shape))
         if np.any(self.v < 0):
             raise ValueError("adjoint of the ones image came out negative")
 
+    def synthesize(self, c) -> np.ndarray:
+        """The image of coefficients c, before blurring."""
+        if self._synthesis is None:
+            return self.dictionary.synthesize(c)
+        image = self._synthesis.forward(c)
+        return np.maximum(image, 0.0, out=image)
+
+    def _analyze(self, f) -> np.ndarray:
+        # Adjoint of synthesize.
+        if self._synthesis is None:
+            return self.dictionary.adjoint(f)
+        return self._synthesis.adjoint(f)
+
     def forward(self, c) -> np.ndarray:
-        return conv_forward(self.kernel, self.dictionary.synthesize(c))
+        return self.blur.forward(self.synthesize(c))
 
     def adjoint(self, y) -> np.ndarray:
-        return self.dictionary.adjoint(conv_adjoint(self.kernel, y))
+        return self._analyze(self.blur.adjoint(y))
 
 
 class IdentityDictionary:
@@ -389,10 +519,12 @@ class IdentityDictionary:
 __all__ = [
     "ConvKernel",
     "ForwardModel",
+    "FourierFilter",
     "HaarBoxDictionary",
     "IdentityDictionary",
     "PatchDictionary",
     "SplineDictionary",
+    "blur_operator",
     "conv_adjoint",
     "conv_forward",
     "gaussian_kernel_1d",

@@ -9,6 +9,10 @@ into the RL denominator. `run_solver` iterates any of them with either a
 relative-change stopping rule or an oracle rule that keeps the iterate
 with the lowest error against a known ground truth, synthesizing and
 blurring each iterate once for its next step, objective, NMSE and estimate.
+
+On 2-D images the blur is a FourierFilter (see operators.blur_operator),
+built once per run; its round-off can leave entries near -1e-17 where the
+exact product is 0, so the RL and sparse-RL updates clamp at 0 on that path.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .core import EPS_DIV, as_image, l1_norm, log_inner, safe_div, weighted_l1
 from .metrics import nmse
-from .operators import ConvKernel, ForwardModel, conv_adjoint, conv_forward
+from .operators import ConvKernel, ForwardModel, FourierFilter, blur_operator
 
 #: Floor for the RLTV denominator 1 - gamma * curvature, preventing sign flips.
 DENOM_FLOOR = 0.1
@@ -105,13 +109,14 @@ def _neg_log_likelihood(g, blurred: np.ndarray) -> float:
     return float(blurred.sum()) - log_inner(g, blurred)
 
 
-def ml_objective(g, kernel: ConvKernel, f) -> float:
+def ml_objective(g, kernel: ConvKernel | FourierFilter, f) -> float:
     """Negative Poisson log-likelihood <1, Hf> - <g, log Hf> (constants dropped).
 
     With a normalized kernel the first term equals the l1 norm of f.
     Returns +inf when g is positive somewhere the blurred model vanishes.
     """
-    return _neg_log_likelihood(g, conv_forward(kernel, np.asarray(f, dtype=np.float64)))
+    f = np.asarray(f, dtype=np.float64)
+    return _neg_log_likelihood(g, blur_operator(kernel, f.shape).forward(f))
 
 
 def map_objective(g, model: ForwardModel, c, lam: float) -> float:
@@ -143,16 +148,21 @@ def gradient_map(g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV
 
 
 # ---------------------------------------------------------------------------
-# Single multiplicative updates; `blurred` may pass in the iterate's blurred model.
+# Single multiplicative updates; `blurred` may pass in the iterate's blurred
+# model. `kernel` may also be the FourierFilter that blur_operator built.
 # ---------------------------------------------------------------------------
 
 
-def rl_step(g, kernel: ConvKernel, f, eps_div: float = EPS_DIV, blurred=None) -> np.ndarray:
+def rl_step(
+    g, kernel: ConvKernel | FourierFilter, f, eps_div: float = EPS_DIV, blurred=None
+) -> np.ndarray:
     """One RL update: f * H*{ g / H{f} } (pointwise product and ratio)."""
     f = np.asarray(f, dtype=np.float64)
-    blurred = conv_forward(kernel, f) if blurred is None else blurred
+    blur = blur_operator(kernel, f.shape)
+    blurred = blur.forward(f) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    return f * conv_adjoint(kernel, ratio)
+    out = f * blur.adjoint(ratio)
+    return np.maximum(out, 0.0, out=out) if isinstance(blur, FourierFilter) else out
 
 
 def srl_step(
@@ -165,7 +175,8 @@ def srl_step(
     c = np.asarray(c, dtype=np.float64)
     blurred = model.forward(c) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    return model.adjoint(ratio) * safe_div(c, model.v + lam, eps_div)
+    out = model.adjoint(ratio) * safe_div(c, model.v + lam, eps_div)
+    return np.maximum(out, 0.0, out=out) if isinstance(model.blur, FourierFilter) else out
 
 
 def _grad_circ(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +205,7 @@ def tv_norm(f) -> float:
 
 def rltv_step(
     g,
-    kernel: ConvKernel,
+    kernel: ConvKernel | FourierFilter,
     f,
     gamma_tv: float,
     eps_div: float = EPS_DIV,
@@ -209,9 +220,10 @@ def rltv_step(
     """
     f = np.asarray(f, dtype=np.float64)
     denom = np.maximum(1.0 - gamma_tv * tv_curvature(f, eps_tv), DENOM_FLOOR)
-    blurred = conv_forward(kernel, f) if blurred is None else blurred
+    blur = blur_operator(kernel, f.shape)
+    blurred = blur.forward(f) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    return np.maximum((f / denom) * conv_adjoint(kernel, ratio), 0.0)
+    return np.maximum((f / denom) * blur.adjoint(ratio), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,9 @@ def run_solver(
     Either mode stops with `non_finite` once the step size is NaN or
     infinite. Default starting points: a flat image carrying the total
     mass of g for RL/RLTV, all-ones coefficients for SRL; an explicit
-    `init` must match the state's shape and be finite and nonnegative.
+    `init` must match the state's shape and be finite and nonnegative. A
+    `ground_truth` must be finite, nonnegative, not all zero, and of the
+    estimate's (g's) shape.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -253,24 +267,32 @@ def run_solver(
         raise ValueError("nmse_optimal mode requires a ground truth image")
     cfg = config if config is not None else SolverConfig()
     g = as_image(g, "data g")
+    if ground_truth is not None:
+        ground_truth = as_image(ground_truth, "ground truth")
+        if ground_truth.shape != g.shape:
+            raise ValueError(
+                f"ground truth has shape {ground_truth.shape}, the estimate has {g.shape}"
+            )
+        if not np.any(ground_truth):
+            raise ValueError("ground truth is all zero, so its NMSE is undefined")
 
     if method == "srl":
         if model is None:
             raise ValueError("srl requires a forward model")
         if g.shape != model.image_shape:
             raise ValueError(f"g has shape {g.shape}, the model expects {model.image_shape}")
-        kernel, synthesize = model.kernel, model.dictionary.synthesize
+        blur, synthesize = model.blur, model.synthesize
         state = np.ones(model.coeff_shape)
         step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y)
     else:
         if kernel is None:
             raise ValueError(f"{method} requires a convolution kernel")
-        synthesize = None
+        blur, synthesize = blur_operator(kernel, g.shape), None
         state = np.full(g.shape, g.mean())
         if method == "rl":
-            step = lambda f, y: rl_step(g, kernel, f, cfg.eps_div, y)
+            step = lambda f, y: rl_step(g, blur, f, cfg.eps_div, y)
         else:
-            step = lambda f, y: rltv_step(g, kernel, f, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv, y)
+            step = lambda f, y: rltv_step(g, blur, f, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv, y)
     if init is not None:
         init = np.array(init, dtype=np.float64)
         if init.shape != state.shape:
@@ -293,7 +315,7 @@ def run_solver(
         rel = delta / prev_norm if prev_norm > 0 else np.inf
         state = new_state
         image = state if synthesize is None else synthesize(state)
-        blurred = conv_forward(kernel, image)
+        blurred = blur.forward(image)
         objective = _neg_log_likelihood(g, blurred)
         if method == "srl":
             objective += cfg.lam * l1_norm(state)

@@ -8,15 +8,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from poisson_deconv.core import inner
 from poisson_deconv.operators import (
     ConvKernel,
     ForwardModel,
+    FourierFilter,
     HaarBoxDictionary,
     IdentityDictionary,
     PatchDictionary,
     SplineDictionary,
+    blur_operator,
     conv_adjoint,
     conv_forward,
     gaussian_kernel_1d,
@@ -465,3 +470,111 @@ class TestForwardModel:
         c = rng.random((4, 4))
         np.testing.assert_array_equal(d.synthesize(c), c)
         np.testing.assert_array_equal(d.adjoint(c), c)
+
+
+@st.composite
+def filter_cases(draw):
+    """A random image shape, a random odd kernel that fits it (symmetric or
+    not), and the image and its adjoint-side partner."""
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(2, 24))
+    kr = draw(st.integers(0, (rows - 1) // 2)) * 2 + 1
+    kc = draw(st.integers(0, (cols - 1) // 2)) * 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.random((kr, kc))
+    if draw(st.booleans()):
+        taps = (taps + taps[::-1, ::-1]) / 2.0
+    return taps, rng.random((rows, cols)), rng.random((rows, cols))
+
+
+def _close(a, b):
+    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * max(1.0, np.abs(b).max()))
+
+
+class TestFourierFilter:
+    """The transfer-function path against the direct ndimage passes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(filter_cases())
+    @example((np.arange(1.0, 50.0).reshape(7, 7), np.ones((7, 9)), np.eye(7, 9)))
+    @example((np.arange(1.0, 36.0).reshape(5, 7), np.ones((6, 7)), np.eye(6, 7)))
+    def test_single_kernel_matches_direct(self, case):
+        taps, x, y = case
+        filt = FourierFilter(taps, x.shape)
+        symmetric = np.array_equal(taps, taps[::-1, ::-1])
+        assert (filt.transfer.dtype.kind == "f") == symmetric
+        _close(filt.forward(x), ndimage.convolve(x, taps, mode="wrap"))
+        _close(filt.adjoint(y), ndimage.correlate(y, taps, mode="wrap"))
+        lhs, rhs = inner(filt.forward(x), y), inner(x, filt.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(15, 28), st.integers(15, 28), st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_spline_levels_match_dictionary(self, rows, cols, n_levels, seed):
+        rng = np.random.default_rng(seed)
+        d = SplineDictionary((rows, cols), n_levels)
+        filt = FourierFilter([np.outer(b, b) for b in d.generators], (rows, cols))
+        c = rng.random(d.coeff_shape)
+        y = rng.random(d.image_shape)
+        _close(filt.forward(c), d.synthesize(c))
+        _close(filt.adjoint(y), d.adjoint(y))
+        lhs, rhs = inner(filt.forward(c), y), inner(c, filt.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    def test_model_matches_direct_composition(self):
+        rng = np.random.default_rng(40)
+        kernel = make_kernel(rng.random((5, 3)))
+        for d in (SplineDictionary((16, 12), 2), PatchDictionary(rng.random((3, 4, 4)), 2, (8, 12))):
+            m = ForwardModel(kernel, d)
+            c = rng.random(m.coeff_shape)
+            y = rng.random(m.image_shape)
+            _close(m.forward(c), conv_forward(kernel, d.synthesize(c)))
+            _close(m.adjoint(y), d.adjoint(conv_adjoint(kernel, y)))
+            _close(m.v, d.adjoint(conv_adjoint(kernel, np.ones(m.image_shape))))
+
+    def test_kernel_larger_than_image_rejected(self):
+        with pytest.raises(ValueError, match="larger than image"):
+            FourierFilter(np.ones((5, 3)), (4, 8))
+
+    def test_input_shape_checked(self):
+        filt = FourierFilter([np.ones((3, 3))] * 2, (6, 6))
+        with pytest.raises(ValueError, match="does not match"):
+            filt.forward(np.ones((6, 6)))
+        with pytest.raises(ValueError, match="does not match"):
+            filt.adjoint(np.ones((2, 6, 6)))
+
+    def test_single_columns_keep_the_direct_kernel(self):
+        """N x 1 signals are blurred directly and build no transfer function."""
+        kernel = gaussian_kernel_1d(0.2 * math.pi)
+        assert blur_operator(kernel, (128, 1)) is kernel
+        assert ForwardModel(kernel, HaarBoxDictionary(128)).blur is kernel
+        filt = blur_operator(kernel, (128, 2))
+        assert isinstance(filt, FourierFilter) and blur_operator(filt, (128, 2)) is filt
+
+
+class TestDataPathKeepsExactZeros:
+    """The data path stays direct: a single bright pixel leaves every value
+    outside its footprint exactly zero (an FFT would leave round-off there,
+    and the Poisson sampler draws differently for a zero and a 1e-17 mean)."""
+
+    def test_conv_forward(self):
+        rng = np.random.default_rng(41)
+        kernel = make_kernel(rng.random((5, 3)))
+        x = np.zeros((20, 16))
+        x[3, 14] = 1.0
+        out = conv_forward(kernel, x)
+        footprint = np.zeros(x.shape, dtype=bool)
+        footprint[np.ix_(np.arange(1, 6) % 20, np.arange(13, 16) % 16)] = True
+        assert np.all(out[~footprint] == 0.0) and np.all(out[footprint] > 0.0)
+
+    def test_spline_synthesize(self):
+        d = SplineDictionary((24, 20), 2)
+        c = np.zeros(d.coeff_shape)
+        c[1, 2, 18] = 1.0
+        out = d.synthesize(c)
+        footprint = np.zeros(d.image_shape, dtype=bool)
+        footprint[np.ix_(np.arange(-1, 6) % 24, np.arange(15, 22) % 20)] = True
+        assert np.all(out[~footprint] == 0.0) and np.all(out[footprint] > 0.0)

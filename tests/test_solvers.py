@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poisson_deconv import operators, solvers
+from poisson_deconv import operators
 from poisson_deconv.core import l1_norm, log_inner
 from poisson_deconv.metrics import nmse
 from poisson_deconv.operators import (
@@ -16,6 +16,7 @@ from poisson_deconv.operators import (
     conv_forward,
     gaussian_kernel_1d,
     identity_kernel,
+    inverse_quadratic_kernel,
     make_kernel,
 )
 from poisson_deconv.simulate import poisson_sample, rng_for_trial, synth_sparse_signal
@@ -439,7 +440,7 @@ def _reference_run(method, g, kernel, model, cfg, truth, mode):
             new = rltv_step(g, kernel, state, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv)
         rel.append(float(np.linalg.norm(new - state)) / float(np.linalg.norm(state)))
         state = new
-        image = model.dictionary.synthesize(state) if srl else state
+        image = model.synthesize(state) if srl else state
         if method == "rl":
             obj.append(ml_objective(g, kernel, state))
         elif srl:
@@ -505,9 +506,9 @@ class TestRunSolverMatchesReferenceLoop:
             HaarBoxDictionary, "synthesize",
             counted("synthesize", HaarBoxDictionary.synthesize),
         )
-        blur = counted("conv_forward", operators.conv_forward)
-        monkeypatch.setattr(operators, "conv_forward", blur)
-        monkeypatch.setattr(solvers, "conv_forward", blur)
+        monkeypatch.setattr(
+            operators, "conv_forward", counted("conv_forward", operators.conv_forward)
+        )
         res = run_solver(
             "srl", g, model=model, config=SolverConfig(max_iters=25), ground_truth=truth
         )
@@ -548,6 +549,23 @@ class TestRunSolverInputs:
                 "rltv", np.ones((2, 2)), kernel=identity_kernel(), init=-np.ones((2, 2))
             )
 
+    @pytest.mark.parametrize(
+        "truth,match",
+        [
+            (np.full((4, 1), np.nan), "non-finite"),
+            ([[1.0], [-1.0], [1.0], [1.0]], "negative"),
+            (np.ones((2, 2)), "ground truth has shape"),
+            (np.zeros((4, 1)), "all zero"),
+        ],
+        ids=["non_finite", "negative", "wrong_shape", "all_zero"],
+    )
+    def test_bad_ground_truth_rejected(self, truth, match):
+        with pytest.raises(ValueError, match=match):
+            run_solver(
+                "rl", np.ones((4, 1)), kernel=identity_kernel(), ground_truth=truth,
+                mode="nmse_optimal", config=SolverConfig(max_iters=10),
+            )
+
     def test_non_finite_step_stops_the_run(self):
         """A zero pixel under data with a subnormal division floor makes the
         first RL step overflow; the run stops there and says so."""
@@ -559,3 +577,29 @@ class TestRunSolverInputs:
         assert res.trace.terminated_by == "non_finite"
         assert res.trace.n_iters == 1
         assert np.isnan(res.estimate[0, 0]) and res.estimate[1, 0] == 1.0
+
+
+class TestFourierPathStaysNonnegative:
+    """On 2-D images the blur and the spline synthesis run through FFTs,
+    whose round-off leaves entries near -1e-17 where the exact result is 0:
+    inside a zero region of the data wider than the kernel, and wherever the
+    coefficients vanish. The updates and the synthesized image clamp them."""
+
+    def _data(self):
+        rng = np.random.default_rng(50)
+        g = poisson_sample(np.full((48, 48), 20.0), rng)
+        g[8:40, 8:40] = 0.0
+        return g
+
+    def test_rl(self):
+        g = self._data()
+        res = run_solver(
+            "rl", g, kernel=inverse_quadratic_kernel(2), config=SolverConfig(max_iters=5)
+        )
+        assert np.all(res.estimate >= 0.0)
+
+    def test_srl(self):
+        g = self._data()
+        model = ForwardModel(inverse_quadratic_kernel(2), SplineDictionary(g.shape, 2))
+        res = run_solver("srl", g, model=model, config=SolverConfig(lam=0.1, max_iters=5))
+        assert np.all(res.coefficients >= 0.0) and np.all(res.estimate >= 0.0)
