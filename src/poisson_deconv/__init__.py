@@ -7,9 +7,10 @@ patch atoms), and a total-variation regularized RL, together with the
 simulation and metric machinery to compare them over seeded trials.
 """
 
-from .core import EPS_DIV, inner, l1_norm, safe_div, weighted_l1
+from .core import EPS_DIV, l1_norm, safe_div
 from .metrics import MetricReport, average_trials, nmse, ssim
 from .operators import (
+    ColumnFilter,
     ConvKernel,
     ForwardModel,
     FourierFilter,
@@ -39,9 +40,7 @@ from .solvers import (
     SolverConfig,
     SolverResult,
     SolverTrace,
-    gradient_map,
     map_objective,
-    map_objective_weighted,
     ml_objective,
     rl_step,
     rltv_step,

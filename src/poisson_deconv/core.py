@@ -73,28 +73,9 @@ def log_inner(g: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(g[mask] * np.log(x[mask])))
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Standard inner product: sum of the elementwise products."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    require_same_shape(a, b)
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def l1_norm(c) -> float:
     """l1 norm of a nonnegative array: the plain sum of its entries."""
     c = np.asarray(c, dtype=np.float64)
     if np.any(c < 0):
         raise ValueError("l1_norm expects nonnegative coefficients")
     return float(np.sum(c))
-
-
-def weighted_l1(c, w) -> float:
-    """Weighted l1 norm sum(w_i * c_i) of nonnegative c with weights w >= 0."""
-    c = np.asarray(c, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    require_same_shape(c, w)
-    if np.any(c < 0) or np.any(w < 0):
-        raise ValueError("weighted_l1 expects nonnegative inputs")
-    # Same pairwise summation as l1_norm so unit weights reproduce it exactly.
-    return float(np.sum(w * c))

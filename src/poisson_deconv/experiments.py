@@ -365,7 +365,6 @@ def _padded_columns(traces: list[list[float]]) -> np.ndarray:
     return grid
 
 
-
 def run_experiment(cfg: ExperimentConfig) -> list[MetricReport]:
     """Run all trials, write metrics.csv plus per-solver trace CSVs, and
     return the aggregated per-solver reports (in config order)."""

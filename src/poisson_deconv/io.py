@@ -121,15 +121,6 @@ def load_image(path) -> np.ndarray:
     return as_image(img, name=path)
 
 
-def save_image(path, img: np.ndarray) -> None:
-    """Save an image as PGM (by extension) or matrix text."""
-    img = as_image(img)
-    if os.fspath(path).lower().endswith(".pgm"):
-        save_pgm(path, img)
-    else:
-        save_matrix_text(path, img)
-
-
 def save_atoms(path, atoms: np.ndarray, stride: int) -> None:
     """Write patch atoms: header `patch_rows patch_cols num_atoms stride`."""
     atoms = np.asarray(atoms, dtype=np.float64)

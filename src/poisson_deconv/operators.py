@@ -19,9 +19,11 @@ all-ones image).
 Under periodic boundaries the blur and the spline pyramid are circulant,
 so the DFT diagonalizes them: the solvers apply them to 2-D images as one
 pointwise multiply by a precomputed transfer function (FourierFilter).
-The data path (conv_forward, conv_adjoint and the dictionaries' own
-synthesize/adjoint) stays direct, so it keeps exact zeros, and single
-columns stay direct because a short direct pass beats an FFT pair there.
+On N x 1 columns, where a short sum beats an FFT pair, the blur is one
+gather and one dot product over a precomputed table of wrapped indices
+(ColumnFilter), and the Haar boxes use the same scheme. The data path
+(conv_forward, conv_adjoint and the dictionaries' own synthesize/adjoint)
+never goes through an FFT, so it keeps exact zeros.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import ndimage
 
 _NORM_TOL = 1e-12
@@ -56,13 +59,6 @@ class ConvKernel:
             raise ValueError("kernel taps must be finite and nonnegative")
         if self.normalized and abs(float(taps.sum()) - 1.0) > _NORM_TOL:
             raise ValueError("kernel flagged normalized but taps do not sum to 1")
-
-    # The direct blur, so a kernel can stand wherever a FourierFilter does.
-    def forward(self, x) -> np.ndarray:
-        return conv_forward(self, x)
-
-    def adjoint(self, y) -> np.ndarray:
-        return conv_adjoint(self, y)
 
 
 def make_kernel(taps, normalize: bool = True) -> ConvKernel:
@@ -136,6 +132,18 @@ def _checked(x, shape) -> np.ndarray:
     return x
 
 
+def _shift_table(n: int, reach: int) -> np.ndarray:
+    """Read-only n x (2 reach + 1) view whose column reach + s holds
+    (i + s) mod n over rows i, for |s| <= reach.
+
+    Gather tables are column selections of it: one short modulo, where a
+    modulo per table entry cost most of a 1-D model's set-up.
+    """
+    wrapped = np.arange(-reach, n + reach) % n
+    step = wrapped.strides[0]
+    return as_strided(wrapped, (n, 2 * reach + 1), (step, step), writeable=False)
+
+
 def _spectrum(x: np.ndarray) -> np.ndarray:
     # rfft2 over the last two axes, the column pass in place: one complex array.
     spec = np.fft.rfft(x, axis=-1)
@@ -202,16 +210,61 @@ class FourierFilter:
         return _image(spec, self.image_shape[1])
 
 
-def blur_operator(kernel: ConvKernel | FourierFilter, shape) -> ConvKernel | FourierFilter:
+class ColumnFilter:
+    """Centred taps applied circularly to an N x 1 column as one gather and
+    one dot product over a precomputed table of wrapped indices.
+
+    `taps` is one odd-sized column kernel and `shape` an N x 1 image shape
+    at least as long; forward and adjoint match conv_forward and
+    conv_adjoint to rounding. As in ndimage, taps at or below machine
+    epsilon are left out, so every output sums only the products inside
+    its own footprint: exact zeros stay exact and a non-finite entry
+    spreads no further.
+    """
+
+    def __init__(self, taps, shape: tuple[int, int]):
+        taps = np.asarray(taps, dtype=np.float64)
+        rows, cols = int(shape[0]), int(shape[1])
+        if cols != 1:
+            raise ValueError(f"a ColumnFilter serves N x 1 images, got {shape}")
+        if taps.ndim != 2 or any(s % 2 == 0 for s in taps.shape):
+            raise ValueError(f"kernel dimensions must be odd, got {taps.shape}")
+        if taps.shape[0] > rows or taps.shape[1] > cols:
+            raise ValueError(f"kernel {taps.shape} larger than image {(rows, cols)}")
+        half = taps.shape[0] // 2
+        kept = np.flatnonzero(np.abs(taps[:, 0]) > np.finfo(np.float64).eps)
+        # conv_forward sums taps[t] x[i + half - t]; conv_adjoint flips the shift.
+        table = _shift_table(rows, half)
+        self.image_shape = (rows, 1)
+        self._taps = taps[kept, 0]
+        self._forward_idx = np.ascontiguousarray(table[:, 2 * half - kept])
+        self._adjoint_idx = np.ascontiguousarray(table[:, kept])
+
+    def forward(self, x) -> np.ndarray:
+        col = _checked(x, self.image_shape).ravel()
+        return (col[self._forward_idx] @ self._taps)[:, np.newaxis]
+
+    def adjoint(self, y) -> np.ndarray:
+        col = _checked(y, self.image_shape).ravel()
+        return (col[self._adjoint_idx] @ self._taps)[:, np.newaxis]
+
+
+#: The operators blur_operator builds, each applying one kernel to one image shape.
+Blur = ColumnFilter | FourierFilter
+
+
+def blur_operator(kernel: ConvKernel | Blur, shape) -> Blur:
     """The blur to iterate with on images of `shape`.
 
-    A single column keeps the kernel's direct taps: at N=128 with 13 taps a
-    direct pass takes about 20 us and a FourierFilter pass about 45 us (on
-    a 2-vCPU Xeon host). Any wider image gets a FourierFilter; one already
-    built is returned as it is.
+    A single column gets a ColumnFilter: at N=128 with 13 taps one pass
+    took 4-6 us, against 14-21 us for conv_forward and 29-49 us for a
+    FourierFilter (2-vCPU Xeon host, three runs). Any wider image gets a
+    FourierFilter. An operator already built is returned as it is.
     """
-    if isinstance(kernel, FourierFilter) or shape[1] == 1:
+    if isinstance(kernel, Blur):
         return kernel
+    if shape[1] == 1:
+        return ColumnFilter(kernel.taps, shape)
     return FourierFilter(kernel.taps, shape)
 
 
@@ -247,42 +300,34 @@ class HaarBoxDictionary:
         self.levels = levels
         self.image_shape = (self.n, 1)
         self.coeff_shape = (self.n * len(levels),)
-        base = np.arange(self.n)
-        # Gather tables: synth sums c[(i - t) mod n], adjoint sums f[(k + t) mod n].
-        self._synth_idx = [
-            (base[:, np.newaxis] - np.arange(2**j)[np.newaxis, :]) % self.n
-            for j in levels
-        ]
-        self._adj_idx = [
-            (base[:, np.newaxis] + np.arange(2**j)[np.newaxis, :]) % self.n
-            for j in levels
-        ]
-        self._amps = [2.0 ** (-j / 2.0) for j in levels]
+        widths = [2**j for j in levels]
+        # Gather tables, as in ColumnFilter: pixel i sums the coefficients
+        # c_j[(i - t) mod n] over every level's box offsets t, and
+        # coefficient (j, k) sums f[(k + t) mod n] over its own level's.
+        offsets = [np.arange(w) for w in widths]
+        amps = [2.0 ** (-j / 2.0) for j in levels]
+        reach = max(widths) - 1
+        table = _shift_table(self.n, reach)
+        starts = np.repeat(np.arange(len(levels)) * self.n, widths)
+        behind = table[:, reach - np.concatenate(offsets)]
+        self._synth_idx = np.ascontiguousarray(starts + behind)
+        self._synth_weights = np.repeat(amps, widths)
+        self._adj_idx = [np.ascontiguousarray(table[:, reach + t]) for t in offsets]
+        self._adj_weights = [np.full(w, amp) for w, amp in zip(widths, amps)]
 
-    def _split(self, c: np.ndarray) -> np.ndarray:
+    def synthesize(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != self.coeff_shape:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match {self.coeff_shape}"
             )
-        return c.reshape(len(self.levels), self.n)
-
-    def synthesize(self, c) -> np.ndarray:
-        planes = self._split(c)
-        out = np.zeros(self.n)
-        for plane, idx, amp in zip(planes, self._synth_idx, self._amps):
-            out += amp * plane[idx].sum(axis=1)
-        return out[:, np.newaxis]
+        return (c[self._synth_idx] @ self._synth_weights)[:, np.newaxis]
 
     def adjoint(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != self.image_shape:
-            raise ValueError(f"image shape {f.shape} does not match {self.image_shape}")
-        col = f[:, 0]
-        out = np.empty((len(self.levels), self.n))
-        for i, (idx, amp) in enumerate(zip(self._adj_idx, self._amps)):
-            out[i] = amp * col[idx].sum(axis=1)
-        return out.reshape(self.coeff_shape)
+        col = _checked(f, self.image_shape).ravel()
+        return np.concatenate(
+            [col[idx] @ w for idx, w in zip(self._adj_idx, self._adj_weights)]
+        )
 
 
 def spline_generator(j: int, normalized: bool = True) -> np.ndarray:
@@ -517,6 +562,8 @@ class IdentityDictionary:
 
 
 __all__ = [
+    "Blur",
+    "ColumnFilter",
     "ConvKernel",
     "ForwardModel",
     "FourierFilter",

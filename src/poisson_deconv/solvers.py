@@ -10,9 +10,12 @@ relative-change stopping rule or an oracle rule that keeps the iterate
 with the lowest error against a known ground truth, synthesizing and
 blurring each iterate once for its next step, objective, NMSE and estimate.
 
-On 2-D images the blur is a FourierFilter (see operators.blur_operator),
-built once per run; its round-off can leave entries near -1e-17 where the
-exact product is 0, so the RL and sparse-RL updates clamp at 0 on that path.
+The blur is the operator operators.blur_operator builds for the image
+shape, once per run: a ColumnFilter on N x 1 columns, a FourierFilter on
+2-D images. A FourierFilter's round-off can leave entries near -1e-17
+where the exact product is 0, so the RL and sparse-RL updates clamp at 0
+(on a column every sum is of nonnegative products and the clamp changes
+nothing).
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_DIV, as_image, l1_norm, log_inner, safe_div, weighted_l1
+from .core import EPS_DIV, as_image, l1_norm, log_inner, safe_div
 from .metrics import nmse
-from .operators import ConvKernel, ForwardModel, FourierFilter, blur_operator
+from .operators import Blur, ConvKernel, ForwardModel, blur_operator
 
 #: Floor for the RLTV denominator 1 - gamma * curvature, preventing sign flips.
 DENOM_FLOOR = 0.1
@@ -100,7 +103,7 @@ class SolverResult:
 
 
 # ---------------------------------------------------------------------------
-# Objectives and gradient
+# Objectives
 # ---------------------------------------------------------------------------
 
 
@@ -109,7 +112,7 @@ def _neg_log_likelihood(g, blurred: np.ndarray) -> float:
     return float(blurred.sum()) - log_inner(g, blurred)
 
 
-def ml_objective(g, kernel: ConvKernel | FourierFilter, f) -> float:
+def ml_objective(g, kernel: ConvKernel | Blur, f) -> float:
     """Negative Poisson log-likelihood <1, Hf> - <g, log Hf> (constants dropped).
 
     With a normalized kernel the first term equals the l1 norm of f.
@@ -124,37 +127,14 @@ def map_objective(g, model: ForwardModel, c, lam: float) -> float:
     return _neg_log_likelihood(g, model.forward(c)) + lam * l1_norm(c)
 
 
-def map_objective_weighted(g, model: ForwardModel, c, lam: float) -> float:
-    """Same objective written as a (v + lam)-weighted l1 norm minus the log term.
-
-    Uses the model's precomputed column sums instead of summing the
-    forward image, so it is an independent evaluation path from
-    map_objective; the two must agree to rounding.
-    """
-    ac = model.forward(c)
-    return weighted_l1(c, model.v + lam) - log_inner(g, ac)
-
-
-def gradient_map(g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV) -> np.ndarray:
-    """Gradient of the penalized objective: v - A*{g / Ac} + lam * sign(c).
-
-    sign(0) = 0 by convention; for nonnegative coefficients the sign is
-    simply the indicator of the support.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    ac = model.forward(c)
-    ratio = safe_div(np.asarray(g, dtype=np.float64), ac, eps_div)
-    return model.v - model.adjoint(ratio) + lam * np.sign(c)
-
-
 # ---------------------------------------------------------------------------
 # Single multiplicative updates; `blurred` may pass in the iterate's blurred
-# model. `kernel` may also be the FourierFilter that blur_operator built.
+# model. `kernel` may also be the operator that blur_operator built.
 # ---------------------------------------------------------------------------
 
 
 def rl_step(
-    g, kernel: ConvKernel | FourierFilter, f, eps_div: float = EPS_DIV, blurred=None
+    g, kernel: ConvKernel | Blur, f, eps_div: float = EPS_DIV, blurred=None
 ) -> np.ndarray:
     """One RL update: f * H*{ g / H{f} } (pointwise product and ratio)."""
     f = np.asarray(f, dtype=np.float64)
@@ -162,7 +142,7 @@ def rl_step(
     blurred = blur.forward(f) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
     out = f * blur.adjoint(ratio)
-    return np.maximum(out, 0.0, out=out) if isinstance(blur, FourierFilter) else out
+    return np.maximum(out, 0.0, out=out)
 
 
 def srl_step(
@@ -176,7 +156,7 @@ def srl_step(
     blurred = model.forward(c) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
     out = model.adjoint(ratio) * safe_div(c, model.v + lam, eps_div)
-    return np.maximum(out, 0.0, out=out) if isinstance(model.blur, FourierFilter) else out
+    return np.maximum(out, 0.0, out=out)
 
 
 def _grad_circ(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +185,7 @@ def tv_norm(f) -> float:
 
 def rltv_step(
     g,
-    kernel: ConvKernel | FourierFilter,
+    kernel: ConvKernel | Blur,
     f,
     gamma_tv: float,
     eps_div: float = EPS_DIV,

@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import poisson_gof_pvalue
-from poisson_deconv.core import inner
+from helpers import gradient_map, inner, poisson_gof_pvalue
 from poisson_deconv.experiments import build_config, run_experiment
 from poisson_deconv.metrics import average_trials
 from poisson_deconv.operators import (
@@ -25,7 +24,6 @@ from poisson_deconv.operators import (
 from poisson_deconv.simulate import poisson_sample, rng_for_trial
 from poisson_deconv.solvers import (
     SolverConfig,
-    gradient_map,
     map_objective,
     ml_objective,
     rl_step,

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from helpers import inner, weighted_l1
 from poisson_deconv.core import (
     EPS_DIV,
     as_image,
-    inner,
     l1_norm,
     log_inner,
     safe_div,
-    weighted_l1,
 )
 
 

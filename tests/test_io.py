@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from helpers import save_image
 from poisson_deconv.io import (
     load_atoms,
     load_image,
     load_matrix_text,
     load_pgm,
     save_atoms,
-    save_image,
     save_matrix_text,
     save_pgm,
 )

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from poisson_deconv.core import inner
+from helpers import inner
 from poisson_deconv.operators import (
+    ColumnFilter,
     ConvKernel,
     ForwardModel,
     FourierFilter,
@@ -192,6 +193,23 @@ def haar_dense_matrix(n, levels):
     return np.array(cols).T  # n x (n * len(levels))
 
 
+@st.composite
+def haar_cases(draw):
+    """A random signal length and a nonempty set of valid levels in any order."""
+    n = draw(st.integers(2, 64))
+    max_level = int(math.floor(math.log2(n))) - 1
+    levels = draw(st.lists(st.integers(0, max_level), min_size=1, unique=True))
+    return n, tuple(levels), draw(st.integers(0, 2**32 - 1))
+
+
+def _assert_impulse_confined(out, footprint, value):
+    """Outside its footprint an impulse leaves exact zeros; inside, the
+    value's sign (a positive number, or inf) and no NaN."""
+    assert np.all(out[~footprint] == 0.0)
+    assert np.all(out[footprint] > 0.0)
+    assert np.all(np.isinf(out[footprint]) == np.isinf(value))
+
+
 class TestHaarBoxDictionary:
     def test_dictionary_size(self):
         d = HaarBoxDictionary(128, (2, 3, 4, 5))
@@ -231,6 +249,35 @@ class TestHaarBoxDictionary:
                 d.adjoint(f), dense_adj,
                 rtol=1e-10, atol=1e-10 * np.abs(dense_adj).max(),
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(haar_cases())
+    def test_gathers_match_dense_matrix(self, case):
+        n, levels, seed = case
+        d = HaarBoxDictionary(n, levels)
+        phi = haar_dense_matrix(n, levels)
+        rng = np.random.default_rng(seed)
+        c = rng.random(d.coeff_shape)
+        f = rng.random(d.image_shape)
+        _close(d.synthesize(c), phi @ c[:, np.newaxis])
+        _close(d.adjoint(f), phi.T @ f[:, 0])
+        lhs, rhs = inner(d.synthesize(c), f), inner(c, d.adjoint(f))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(haar_cases(), st.integers(0, 2**16), st.sampled_from([1.0, np.inf]))
+    def test_impulse_stays_in_its_footprint(self, case, where, value):
+        n, levels, _ = case
+        d = HaarBoxDictionary(n, levels)
+        phi = haar_dense_matrix(n, levels)
+        q = where % phi.shape[1]
+        c = np.zeros(d.coeff_shape)
+        c[q] = value
+        _assert_impulse_confined(d.synthesize(c)[:, 0], phi[:, q] > 0, value)
+        p = where % n
+        f = np.zeros(d.image_shape)
+        f[p] = value
+        _assert_impulse_confined(d.adjoint(f), phi[p] > 0, value)
 
     def test_level_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -546,13 +593,77 @@ class TestFourierFilter:
         with pytest.raises(ValueError, match="does not match"):
             filt.adjoint(np.ones((2, 6, 6)))
 
-    def test_single_columns_keep_the_direct_kernel(self):
-        """N x 1 signals are blurred directly and build no transfer function."""
+
+def dense_column_blur(taps, n):
+    """Explicit n x n circulant matrix of conv_forward on an n x 1 column."""
+    half = len(taps) // 2
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for t, w in enumerate(taps):
+            dense[i, (i + half - t) % n] += w
+    return dense
+
+
+@st.composite
+def column_cases(draw):
+    """A random column length, an odd kernel no longer than it with some
+    taps exactly zero, and a column for each side of the filter."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, (n - 1) // 2)) * 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.random(k) * (rng.random(k) < 0.7)
+    return taps, rng.random((n, 1)), rng.random((n, 1))
+
+
+class TestColumnFilter:
+    """The N x 1 gather path against ndimage and a dense circulant matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(column_cases())
+    @example((np.arange(1.0, 10.0), np.ones((9, 1)), np.eye(9, 1)))
+    def test_matches_direct_and_dense(self, case):
+        taps, x, y = case
+        n = x.shape[0]
+        filt = ColumnFilter(taps[:, np.newaxis], (n, 1))
+        dense = dense_column_blur(taps, n)
+        _close(filt.forward(x), ndimage.convolve(x, taps[:, np.newaxis], mode="wrap"))
+        _close(filt.adjoint(y), ndimage.correlate(y, taps[:, np.newaxis], mode="wrap"))
+        _close(filt.forward(x), dense @ x)
+        _close(filt.adjoint(y), dense.T @ y)
+        lhs, rhs = inner(filt.forward(x), y), inner(x, filt.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(column_cases(), st.integers(0, 2**16), st.sampled_from([1.0, np.inf]))
+    def test_impulse_stays_in_its_footprint(self, case, where, value):
+        taps, x, _ = case
+        n = x.shape[0]
+        filt = ColumnFilter(taps[:, np.newaxis], (n, 1))
+        dense = dense_column_blur(taps, n)
+        impulse = np.zeros((n, 1))
+        impulse[where % n] = value
+        _assert_impulse_confined(filt.forward(impulse)[:, 0], dense[:, where % n] > 0, value)
+        _assert_impulse_confined(filt.adjoint(impulse)[:, 0], dense[where % n] > 0, value)
+
+    def test_single_columns_get_the_column_filter(self):
+        """N x 1 signals, alone or under a model, are blurred by a ColumnFilter
+        and build no transfer function; wider images get a FourierFilter."""
         kernel = gaussian_kernel_1d(0.2 * math.pi)
-        assert blur_operator(kernel, (128, 1)) is kernel
-        assert ForwardModel(kernel, HaarBoxDictionary(128)).blur is kernel
+        filt = blur_operator(kernel, (128, 1))
+        assert isinstance(filt, ColumnFilter) and blur_operator(filt, (128, 1)) is filt
+        assert isinstance(ForwardModel(kernel, HaarBoxDictionary(128)).blur, ColumnFilter)
         filt = blur_operator(kernel, (128, 2))
         assert isinstance(filt, FourierFilter) and blur_operator(filt, (128, 2)) is filt
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="larger than image"):
+            ColumnFilter(np.ones((5, 1)), (4, 1))
+        with pytest.raises(ValueError, match="larger than image"):
+            blur_operator(make_kernel(np.ones((3, 3))), (8, 1))
+        with pytest.raises(ValueError, match="N x 1"):
+            ColumnFilter(np.ones((3, 1)), (8, 2))
+        with pytest.raises(ValueError, match="does not match"):
+            ColumnFilter(np.ones((3, 1)), (8, 1)).forward(np.ones(8))
 
 
 class TestDataPathKeepsExactZeros:
@@ -577,4 +688,13 @@ class TestDataPathKeepsExactZeros:
         out = d.synthesize(c)
         footprint = np.zeros(d.image_shape, dtype=bool)
         footprint[np.ix_(np.arange(-1, 6) % 24, np.arange(15, 22) % 20)] = True
+        assert np.all(out[~footprint] == 0.0) and np.all(out[footprint] > 0.0)
+
+    def test_haar_synthesize(self):
+        d = HaarBoxDictionary(32, (1, 3))
+        c = np.zeros(d.coeff_shape)
+        c[32 + 30] = 1.0  # the width-8 box starting at pixel 30, wrapping to 5
+        out = d.synthesize(c)
+        footprint = np.zeros(d.image_shape, dtype=bool)
+        footprint[np.arange(30, 38) % 32] = True
         assert np.all(out[~footprint] == 0.0) and np.all(out[footprint] > 0.0)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from poisson_deconv import operators
+from helpers import gradient_map, map_objective_weighted
 from poisson_deconv.core import l1_norm, log_inner
 from poisson_deconv.metrics import nmse
 from poisson_deconv.operators import (
+    ColumnFilter,
     ForwardModel,
     HaarBoxDictionary,
     IdentityDictionary,
@@ -23,9 +24,7 @@ from poisson_deconv.simulate import poisson_sample, rng_for_trial, synth_sparse_
 from poisson_deconv.solvers import (
     SolverConfig,
     SolverTrace,
-    gradient_map,
     map_objective,
-    map_objective_weighted,
     ml_objective,
     rl_step,
     rltv_step,
@@ -466,25 +465,35 @@ class TestRunSolverMatchesReferenceLoop:
         [("converged", False), ("converged", True), ("nmse_optimal", True)],
     )
     def test_bit_identical(self, method, mode, with_truth):
+        """On a 16x16 spline model (FourierFilter path) and, for rl and srl,
+        on a 128x1 Haar model under a Gaussian blur (ColumnFilter path)."""
         rng = np.random.default_rng(30)
         kernel = make_kernel(rng.random((3, 3)))
-        model = ForwardModel(kernel, SplineDictionary((16, 16), 2))
-        truth = rng.random((16, 16)) * 6.0
-        g = poisson_sample(conv_forward(kernel, truth) + 0.5, rng)
-        cfg = SolverConfig(lam=0.1, gamma_tv=0.01, epsilon_stop=3e-2, max_iters=40)
-        res = run_solver(
-            method, g, kernel=kernel, model=model, config=cfg,
-            ground_truth=truth if with_truth else None, mode=mode,
-        )
-        rel, obj, err, estimate = _reference_run(
-            method, g, kernel, model, cfg, truth if with_truth else None, mode
-        )
-        assert res.trace.rel_change == rel
-        assert res.trace.objective == obj
-        assert res.trace.nmse == err
-        np.testing.assert_array_equal(res.estimate, estimate)
-        if mode == "converged":
-            assert res.trace.terminated_by == "converged" and res.trace.n_iters < 40
+        problems = [(kernel, ForwardModel(kernel, SplineDictionary((16, 16), 2)))]
+        if method != "rltv":
+            kernel = gaussian_kernel_1d(0.2 * math.pi)
+            problems.append((kernel, ForwardModel(kernel, HaarBoxDictionary(128))))
+        for kernel, model in problems:
+            if model.image_shape[1] == 1:
+                _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
+                g = poisson_sample(conv_forward(kernel, truth), rng)
+            else:
+                truth = rng.random((16, 16)) * 6.0
+                g = poisson_sample(conv_forward(kernel, truth) + 0.5, rng)
+            cfg = SolverConfig(lam=0.1, gamma_tv=0.01, epsilon_stop=3e-2, max_iters=40)
+            res = run_solver(
+                method, g, kernel=kernel, model=model, config=cfg,
+                ground_truth=truth if with_truth else None, mode=mode,
+            )
+            rel, obj, err, estimate = _reference_run(
+                method, g, kernel, model, cfg, truth if with_truth else None, mode
+            )
+            assert res.trace.rel_change == rel
+            assert res.trace.objective == obj
+            assert res.trace.nmse == err
+            np.testing.assert_array_equal(res.estimate, estimate)
+            if mode == "converged":
+                assert res.trace.terminated_by == "converged" and res.trace.n_iters < 40
 
     def test_one_synthesis_and_blur_per_srl_iterate(self, monkeypatch):
         """SRL synthesizes and blurs each iterate once (plus once for the
@@ -494,7 +503,7 @@ class TestRunSolverMatchesReferenceLoop:
         model = ForwardModel(kernel, HaarBoxDictionary(32, (1, 2)))
         truth = model.dictionary.synthesize(rng.random(model.coeff_shape))
         g = poisson_sample(conv_forward(kernel, truth), rng)
-        counts = {"synthesize": 0, "conv_forward": 0}
+        counts = {"synthesize": 0, "blur.forward": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -507,13 +516,13 @@ class TestRunSolverMatchesReferenceLoop:
             counted("synthesize", HaarBoxDictionary.synthesize),
         )
         monkeypatch.setattr(
-            operators, "conv_forward", counted("conv_forward", operators.conv_forward)
+            ColumnFilter, "forward", counted("blur.forward", ColumnFilter.forward)
         )
         res = run_solver(
             "srl", g, model=model, config=SolverConfig(max_iters=25), ground_truth=truth
         )
         assert res.trace.n_iters == 25 and len(res.trace.objective) == 25
-        assert counts == {"synthesize": 26, "conv_forward": 26}
+        assert counts == {"synthesize": 26, "blur.forward": 26}
 
 
 class TestRunSolverInputs:
