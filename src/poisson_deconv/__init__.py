@@ -15,14 +15,12 @@ from .operators import (
     ForwardModel,
     FourierFilter,
     HaarBoxDictionary,
-    IdentityDictionary,
     PatchDictionary,
     SplineDictionary,
     blur_operator,
     conv_adjoint,
     conv_forward,
     gaussian_kernel_1d,
-    identity_kernel,
     inverse_quadratic_kernel,
     make_kernel,
     spline_generator,

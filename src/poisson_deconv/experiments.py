@@ -38,8 +38,16 @@ from .simulate import (
 from .solvers import SolverConfig, run_solver
 
 _COMMON = {
+    "signal": "",
+    "dictionary": "",
+    "solvers": "",
     "seed": "12345",
     "n_trials": "200",
+    "max_iters": "500",
+    "max_iters_rl": "",
+    "max_iters_srl": "",
+    "max_iters_rltv": "",
+    "lambda": "0.2",
     "epsilon_stop": "1e-4",
     "eps_div": "1e-12",
     "eps_tv": "1e-8",
@@ -52,28 +60,23 @@ _COMMON = {
     "peak_on": "blurred",
     "sparsity_lo": "0.015",
     "sparsity_hi": "0.03",
-}
-
-_ONED = {
-    **_COMMON,
-    "signal": "sparse1d",
     "n": "128",
-    "haar_levels": "2,3,4,5",
+    "rows": "128",
+    "cols": "128",
     "kernel": "gaussian",
     "cutoff": repr(0.2 * math.pi),
-    "lambda": "0.2",
-    "dictionary": "haar",
-    "solvers": "rl:oracle,srl",
-    "max_iters": "500",
+    "haar_levels": "2,3,4,5",
+    "spline_levels": "3",
+    "peak": "256",
+    "snr_db": "15",
 }
+
+_ONED = {**_COMMON, "signal": "sparse1d", "dictionary": "haar", "solvers": "rl:oracle,srl"}
 
 _TWOD = {
     **_COMMON,
     "signal": "image2d",
-    "rows": "128",
-    "cols": "128",
     "kernel": "inverse_quadratic",
-    "snr_db": "15",
     "lambda": "0.1",
     "solvers": "rl:oracle,rltv:oracle,srl",
     "max_iters": "120",
@@ -84,7 +87,7 @@ PRESETS = {
     "oned_high": {**_ONED, "peak": "256"},
     "oned_low": {**_ONED, "peak": "32"},
     "twod_splines": {**_TWOD, "dictionary": "spline", "spline_levels": "4"},
-    "twod_patches": {**_TWOD, "dictionary": "patch", "solvers": "rl:oracle,rltv:oracle,srl"},
+    "twod_patches": {**_TWOD, "dictionary": "patch"},
     "custom": dict(_COMMON),
 }
 
@@ -173,7 +176,7 @@ def _parse_solvers(merged: dict[str, str]) -> tuple[SolverSpec, ...]:
                 oracle = True
             else:
                 raise ValueError(f"unknown solver flag {flag!r} in {item!r}")
-        iters = int(merged.get(f"max_iters_{method}", merged["max_iters"]))
+        iters = int(merged[f"max_iters_{method}"] or merged["max_iters"])
         specs.append(SolverSpec(method, oracle, SolverConfig(max_iters=iters, **base)))
     if not specs:
         raise ValueError("at least one solver is required")
@@ -186,23 +189,20 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(PRESETS)}")
     merged = {**PRESETS[name], **mapping}
-    merged.setdefault("max_iters", "500")
-    merged.setdefault("lambda", "0.2")
-    # Accepted keys: any preset's, the preset name, and per-solver iteration caps.
-    caps = {f"max_iters_{m}" for m in ("rl", "srl", "rltv")}
-    unknown = set(merged) - set().union(*PRESETS.values(), caps, ["experiment"])
+    # Accepted keys: the common defaults' (every preset's) and the preset name.
+    unknown = set(merged) - set(_COMMON) - {"experiment"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    signal = merged.get("signal", "")
+    signal = merged["signal"]
     if signal not in ("sparse1d", "image2d"):
         raise ValueError("config must set signal=sparse1d or signal=image2d")
     for key in ("image_file", "atoms_file"):
-        path = merged.get(key, "")
+        path = merged[key]
         if path and not os.path.exists(path):
             raise ValueError(f"{key}={path!r} does not exist")
-    dictionary = merged.get("dictionary", "")
-    if dictionary == "patch" and not merged.get("atoms_file"):
+    dictionary = merged["dictionary"]
+    if dictionary == "patch" and not merged["atoms_file"]:
         raise ValueError("dictionary=patch requires atoms_file=<path>")
 
     sparsity = (float(merged["sparsity_lo"]), float(merged["sparsity_hi"]))
@@ -214,26 +214,26 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         signal=signal,
         out_dir=merged["out_dir"],
         dump_trials=_parse_bool(merged["dump_trials"]),
-        jobs=max(1, int(merged["jobs"])),
-        n=int(merged.get("n", "128")),
-        rows=int(merged.get("rows", "128")),
-        cols=int(merged.get("cols", "128")),
-        kernel=merged.get("kernel", "gaussian"),
-        cutoff=float(merged.get("cutoff", repr(0.2 * math.pi))),
+        jobs=int(merged["jobs"]),
+        n=int(merged["n"]),
+        rows=int(merged["rows"]),
+        cols=int(merged["cols"]),
+        kernel=merged["kernel"],
+        cutoff=float(merged["cutoff"]),
         dictionary=dictionary,
-        haar_levels=tuple(
-            int(v) for v in merged.get("haar_levels", "2,3,4,5").split(",")
-        ),
-        spline_levels=int(merged.get("spline_levels", "3")),
-        atoms_file=merged.get("atoms_file", ""),
-        image_file=merged.get("image_file", ""),
-        peak=float(merged.get("peak", "256")),
-        peak_on=merged.get("peak_on", "blurred"),
-        snr_db=float(merged.get("snr_db", "15")),
+        haar_levels=tuple(int(v) for v in merged["haar_levels"].split(",")),
+        spline_levels=int(merged["spline_levels"]),
+        atoms_file=merged["atoms_file"],
+        image_file=merged["image_file"],
+        peak=float(merged["peak"]),
+        peak_on=merged["peak_on"],
+        snr_db=float(merged["snr_db"]),
         sparsity=sparsity,
     )
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be positive")
+    if cfg.jobs < 1:
+        raise ValueError("jobs must be positive")
     if cfg.peak_on not in ("blurred", "true"):
         raise ValueError("peak_on must be 'blurred' or 'true'")
     if any(s.method == "srl" for s in cfg.solvers) and not dictionary:

@@ -16,23 +16,26 @@ Composing blur with synthesis gives the forward model used by the sparse
 solver, along with its column-sum vector v (the adjoint applied to the
 all-ones image).
 
-Under periodic boundaries the blur and the spline pyramid are circulant,
-so the DFT diagonalizes them: the solvers apply them to 2-D images as one
-pointwise multiply by a precomputed transfer function (FourierFilter).
-On N x 1 columns, where a short sum beats an FFT pair, the blur is one
-gather and one dot product over a precomputed table of wrapped indices
-(ColumnFilter), and the Haar boxes use the same scheme. The data path
-(conv_forward, conv_adjoint and the dictionaries' own synthesize/adjoint)
-never goes through an FFT, so it keeps exact zeros.
+Under periodic boundaries the blur and the shift-invariant dictionaries
+are circulant, each fully described by its kernels, so each is one
+precomputed filter taking one kernel or a list of J level kernels. On 2-D
+images, where the DFT diagonalizes them, that is a pointwise multiply by
+a transfer function (FourierFilter: the 2-D blur and the spline pyramid).
+On N x 1 columns, where a short sum beats an FFT pair, it is a gather and
+a dot product over a precomputed table of wrapped indices (ColumnFilter:
+the 1-D blur and the Haar boxes). The only direct convolutions here are
+conv_forward and conv_adjoint. The data path (simulate) uses them, the
+Haar gathers and make_phantom's own direct spline synthesis, never an
+FFT, so it keeps exact zeros.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import ndimage
 
 _NORM_TOL = 1e-12
@@ -72,10 +75,6 @@ def make_kernel(taps, normalize: bool = True) -> ConvKernel:
             raise ValueError("cannot normalize a kernel with nonpositive sum")
         taps = taps / total
     return ConvKernel(taps=taps, normalized=normalize)
-
-
-def identity_kernel() -> ConvKernel:
-    return ConvKernel(taps=np.ones((1, 1)), normalized=True)
 
 
 def gaussian_kernel_1d(cutoff: float) -> ConvKernel:
@@ -140,8 +139,10 @@ def _shift_table(n: int, reach: int) -> np.ndarray:
     modulo per table entry cost most of a 1-D model's set-up.
     """
     wrapped = np.arange(-reach, n + reach) % n
-    step = wrapped.strides[0]
-    return as_strided(wrapped, (n, 2 * reach + 1), (step, step), writeable=False)
+    step = wrapped.itemsize
+    table = np.ndarray((n, 2 * reach + 1), wrapped.dtype, wrapped, strides=(step, step))
+    table.flags.writeable = False
+    return table
 
 
 def _spectrum(x: np.ndarray) -> np.ndarray:
@@ -153,6 +154,19 @@ def _spectrum(x: np.ndarray) -> np.ndarray:
 def _image(spec: np.ndarray, cols: int) -> np.ndarray:
     # Inverse of _spectrum; overwrites `spec`.
     return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), n=cols, axis=-1)
+
+
+def _level_kernels(taps, shape) -> tuple[int, list[np.ndarray]]:
+    """(J, kernels) for one kernel (J = 0) or a list of J level kernels,
+    each checked to be odd-sized and to fit `shape`."""
+    levels = len(taps) if isinstance(taps, list) else 0
+    kernels = [np.asarray(k, dtype=np.float64) for k in (taps if levels else [taps])]
+    for k in kernels:
+        if k.ndim != 2 or any(s % 2 == 0 for s in k.shape):
+            raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
+        if k.shape[0] > shape[0] or k.shape[1] > shape[1]:
+            raise ValueError(f"kernel {k.shape} larger than image {shape}")
+    return levels, kernels
 
 
 class FourierFilter:
@@ -172,8 +186,7 @@ class FourierFilter:
 
     def __init__(self, taps, shape: tuple[int, int]):
         rows, cols = int(shape[0]), int(shape[1])
-        self.levels = len(taps) if isinstance(taps, list) else 0
-        kernels = [np.asarray(k, dtype=np.float64) for k in (taps if self.levels else [taps])]
+        self.levels, kernels = _level_kernels(taps, (rows, cols))
         # Centrosymmetric taps have a real transfer function. Asymmetry at
         # the rounding level (the level-2 cubic B-spline is one ulp off) adds
         # an imaginary part far below the FFT's own error, so it is dropped.
@@ -184,10 +197,6 @@ class FourierFilter:
         spectra = []
         for k in kernels:
             kr, kc = k.shape
-            if kr % 2 == 0 or kc % 2 == 0:
-                raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
-            if kr > rows or kc > cols:
-                raise ValueError(f"kernel {k.shape} larger than image {(rows, cols)}")
             # Centre tap at pixel (0, 0), the rest wrapped around the edges.
             psf = np.zeros((rows, cols))
             psf[np.ix_((np.arange(kr) - kr // 2) % rows, (np.arange(kc) - kc // 2) % cols)] = k
@@ -211,42 +220,56 @@ class FourierFilter:
 
 
 class ColumnFilter:
-    """Centred taps applied circularly to an N x 1 column as one gather and
-    one dot product over a precomputed table of wrapped indices.
+    """Centred taps applied circularly to an N x 1 column as gathers and
+    dot products over precomputed tables of wrapped indices.
 
-    `taps` is one odd-sized column kernel and `shape` an N x 1 image shape
-    at least as long; forward and adjoint match conv_forward and
-    conv_adjoint to rounding. As in ndimage, taps at or below machine
-    epsilon are left out, so every output sums only the products inside
-    its own footprint: exact zeros stay exact and a non-finite entry
-    spreads no further.
+    `taps` and `shape` are as for FourierFilter, with column kernels and an
+    N x 1 image shape: forward and adjoint match conv_forward and
+    conv_adjoint to rounding. For J levels, forward maps (J, N, 1)
+    coefficients to the sum of their convolutions in one gather and one
+    dot product, and adjoint returns the J correlations from one gather
+    and one dot product per level (so a non-finite entry reaches no other
+    level). As in ndimage, taps at or below machine epsilon are left out,
+    so every output sums only the products inside its own footprint: exact
+    zeros stay exact and a non-finite entry spreads no further.
     """
 
     def __init__(self, taps, shape: tuple[int, int]):
-        taps = np.asarray(taps, dtype=np.float64)
         rows, cols = int(shape[0]), int(shape[1])
         if cols != 1:
             raise ValueError(f"a ColumnFilter serves N x 1 images, got {shape}")
-        if taps.ndim != 2 or any(s % 2 == 0 for s in taps.shape):
-            raise ValueError(f"kernel dimensions must be odd, got {taps.shape}")
-        if taps.shape[0] > rows or taps.shape[1] > cols:
-            raise ValueError(f"kernel {taps.shape} larger than image {(rows, cols)}")
-        half = taps.shape[0] // 2
-        kept = np.flatnonzero(np.abs(taps[:, 0]) > np.finfo(np.float64).eps)
-        # conv_forward sums taps[t] x[i + half - t]; conv_adjoint flips the shift.
-        table = _shift_table(rows, half)
+        self.levels, kernels = _level_kernels(taps, (rows, cols))
         self.image_shape = (rows, 1)
-        self._taps = taps[kept, 0]
-        self._forward_idx = np.ascontiguousarray(table[:, 2 * half - kept])
-        self._adjoint_idx = np.ascontiguousarray(table[:, kept])
+        self.input_shape = (self.levels, rows, 1) if self.levels else self.image_shape
+        # All levels' taps in one vector. conv_forward sums taps[t] x[i + s]
+        # with shift s = half - t, and conv_adjoint the same with -s; level
+        # j's coefficients start at j * rows of the flat input.
+        sizes = [k.shape[0] for k in kernels]
+        ends = list(itertools.accumulate(sizes))
+        taps = np.concatenate(kernels)[:, 0]
+        kept = np.flatnonzero(np.abs(taps) > np.finfo(np.float64).eps)
+        level = np.searchsorted(ends, kept, side="right")
+        shifts = np.array([end - size // 2 - 1 for end, size in zip(ends, sizes)])[level] - kept
+        reach = max(sizes) // 2
+        table = _shift_table(rows, reach)
+        self._taps = taps[kept]
+        self._forward_idx = np.ascontiguousarray(table[:, reach + shifts] + rows * level)
+        self._adjoint_idx = np.ascontiguousarray(table[:, reach - shifts])
+        # The adjoint's level blocks: the kept taps before each level's end.
+        bounds = np.searchsorted(kept, ends).tolist()
+        self._blocks = [(slice(a, b), self._taps[a:b]) for a, b in zip([0] + bounds, bounds)]
 
     def forward(self, x) -> np.ndarray:
-        col = _checked(x, self.image_shape).ravel()
-        return (col[self._forward_idx] @ self._taps)[:, np.newaxis]
+        flat = _checked(x, self.input_shape).ravel()
+        return (flat[self._forward_idx] @ self._taps)[:, np.newaxis]
 
     def adjoint(self, y) -> np.ndarray:
-        col = _checked(y, self.image_shape).ravel()
-        return (col[self._adjoint_idx] @ self._taps)[:, np.newaxis]
+        gathered = _checked(y, self.image_shape).ravel()[self._adjoint_idx]
+        if not self.levels:
+            return (gathered @ self._taps)[:, np.newaxis]
+        # One dot product per level, so a non-finite entry reaches no other level.
+        out = np.concatenate([gathered[:, cols] @ w for cols, w in self._blocks])
+        return out.reshape(self.input_shape)
 
 
 #: The operators blur_operator builds, each applying one kernel to one image shape.
@@ -300,20 +323,14 @@ class HaarBoxDictionary:
         self.levels = levels
         self.image_shape = (self.n, 1)
         self.coeff_shape = (self.n * len(levels),)
-        widths = [2**j for j in levels]
-        # Gather tables, as in ColumnFilter: pixel i sums the coefficients
-        # c_j[(i - t) mod n] over every level's box offsets t, and
-        # coefficient (j, k) sums f[(k + t) mod n] over its own level's.
-        offsets = [np.arange(w) for w in widths]
-        amps = [2.0 ** (-j / 2.0) for j in levels]
-        reach = max(widths) - 1
-        table = _shift_table(self.n, reach)
-        starts = np.repeat(np.arange(len(levels)) * self.n, widths)
-        behind = table[:, reach - np.concatenate(offsets)]
-        self._synth_idx = np.ascontiguousarray(starts + behind)
-        self._synth_weights = np.repeat(amps, widths)
-        self._adj_idx = [np.ascontiguousarray(table[:, reach + t]) for t in offsets]
-        self._adj_weights = [np.full(w, amp) for w, amp in zip(widths, amps)]
+        # Level j's causal box as a centred kernel: 2^j - 1 zero taps, then
+        # 2^j taps of 2^(-j/2).
+        boxes = []
+        for j in levels:
+            box = np.zeros((2 ** (j + 1) - 1, 1))
+            box[2**j - 1 :] = 2.0 ** (-j / 2.0)
+            boxes.append(box)
+        self._filter = ColumnFilter(boxes, self.image_shape)
 
     def synthesize(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)
@@ -321,13 +338,10 @@ class HaarBoxDictionary:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match {self.coeff_shape}"
             )
-        return (c[self._synth_idx] @ self._synth_weights)[:, np.newaxis]
+        return self._filter.forward(c.reshape(self._filter.input_shape))
 
     def adjoint(self, f) -> np.ndarray:
-        col = _checked(f, self.image_shape).ravel()
-        return np.concatenate(
-            [col[idx] @ w for idx, w in zip(self._adj_idx, self._adj_weights)]
-        )
+        return self._filter.adjoint(f).ravel()
 
 
 def spline_generator(j: int, normalized: bool = True) -> np.ndarray:
@@ -362,46 +376,23 @@ class SplineDictionary:
     every integer translation under periodic boundaries, so an N-by-M
     image carries J coefficient planes of size N-by-M. Synthesis is the
     sum over scales of the circular convolution of each plane with B_j,
-    applied separably (rows then columns).
+    applied through one FourierFilter over the J kernels; the synthesized
+    image is clamped at 0 against FFT round-off.
     """
 
     def __init__(self, shape: tuple[int, int], n_levels: int):
-        rows, cols = int(shape[0]), int(shape[1])
         self.generators = spline_generators(n_levels)
-        widest = len(self.generators[-1])
-        if widest > rows or widest > cols:
-            raise ValueError(
-                f"widest spline ({widest} taps) does not fit image {shape}"
-            )
-        self.image_shape = (rows, cols)
+        self._filter = FourierFilter([np.outer(b, b) for b in self.generators], shape)
+        self.image_shape = self._filter.image_shape
         self.n_levels = int(n_levels)
-        self.coeff_shape = (self.n_levels, rows, cols)
-
-    def _check(self, c: np.ndarray) -> np.ndarray:
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != self.coeff_shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match {self.coeff_shape}"
-            )
-        return c
+        self.coeff_shape = self._filter.input_shape
 
     def synthesize(self, c) -> np.ndarray:
-        c = self._check(c)
-        out = np.zeros(self.image_shape)
-        for plane, b in zip(c, self.generators):
-            tmp = ndimage.convolve1d(plane, b, axis=0, mode="wrap")
-            out += ndimage.convolve1d(tmp, b, axis=1, mode="wrap")
-        return out
+        image = self._filter.forward(c)
+        return np.maximum(image, 0.0, out=image)
 
     def adjoint(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != self.image_shape:
-            raise ValueError(f"image shape {f.shape} does not match {self.image_shape}")
-        out = np.empty(self.coeff_shape)
-        for i, b in enumerate(self.generators):
-            tmp = ndimage.correlate1d(f, b, axis=0, mode="wrap")
-            out[i] = ndimage.correlate1d(tmp, b, axis=1, mode="wrap")
-        return out
+        return self._filter.adjoint(f)
 
 
 class PatchDictionary:
@@ -487,12 +478,8 @@ class PatchDictionary:
 
 
 class ForwardModel:
-    """Composed measurement map: dictionary synthesis followed by blur.
-
-    `blur` is the blur_operator for the image shape. On 2-D images a
-    spline dictionary is also applied through a FourierFilter, and the
-    synthesized image is clamped at 0 against FFT round-off; other
-    dictionaries apply their own synthesize and adjoint.
+    """Composed measurement map A = H o Phi: dictionary synthesis followed
+    by blur, where `blur` is the blur_operator for the image shape.
 
     Precomputes v, the adjoint applied to the all-ones image, which the
     sparse solver uses as its denominator weight. v is nonnegative by
@@ -506,59 +493,21 @@ class ForwardModel:
         self.image_shape = dictionary.image_shape
         self.coeff_shape = dictionary.coeff_shape
         self.blur = blur_operator(kernel, self.image_shape)
-        self._synthesis = None
         if isinstance(self.blur, FourierFilter):
-            if isinstance(dictionary, SplineDictionary):
-                self._synthesis = FourierFilter(
-                    [np.outer(b, b) for b in dictionary.generators], self.image_shape
-                )
             # The blur's adjoint maps the ones image to the constant tap sum;
             # filling that in skips a transform whose temporaries would set
             # the peak memory of a large model's set-up.
-            self.v = self._analyze(np.full(self.image_shape, float(kernel.taps.sum())))
+            self.v = dictionary.adjoint(np.full(self.image_shape, float(kernel.taps.sum())))
         else:
             self.v = self.adjoint(np.ones(self.image_shape))
         if np.any(self.v < 0):
             raise ValueError("adjoint of the ones image came out negative")
 
-    def synthesize(self, c) -> np.ndarray:
-        """The image of coefficients c, before blurring."""
-        if self._synthesis is None:
-            return self.dictionary.synthesize(c)
-        image = self._synthesis.forward(c)
-        return np.maximum(image, 0.0, out=image)
-
-    def _analyze(self, f) -> np.ndarray:
-        # Adjoint of synthesize.
-        if self._synthesis is None:
-            return self.dictionary.adjoint(f)
-        return self._synthesis.adjoint(f)
-
     def forward(self, c) -> np.ndarray:
-        return self.blur.forward(self.synthesize(c))
+        return self.blur.forward(self.dictionary.synthesize(c))
 
     def adjoint(self, y) -> np.ndarray:
-        return self._analyze(self.blur.adjoint(y))
-
-
-class IdentityDictionary:
-    """Trivial dictionary whose coefficients are the image itself."""
-
-    def __init__(self, shape: tuple[int, int]):
-        self.image_shape = (int(shape[0]), int(shape[1]))
-        self.coeff_shape = self.image_shape
-
-    def synthesize(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != self.coeff_shape:
-            raise ValueError("coefficient shape mismatch")
-        return c.copy()
-
-    def adjoint(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != self.image_shape:
-            raise ValueError("image shape mismatch")
-        return f.copy()
+        return self.dictionary.adjoint(self.blur.adjoint(y))
 
 
 __all__ = [
@@ -568,14 +517,12 @@ __all__ = [
     "ForwardModel",
     "FourierFilter",
     "HaarBoxDictionary",
-    "IdentityDictionary",
     "PatchDictionary",
     "SplineDictionary",
     "blur_operator",
     "conv_adjoint",
     "conv_forward",
     "gaussian_kernel_1d",
-    "identity_kernel",
     "inverse_quadratic_kernel",
     "make_kernel",
     "spline_generator",

@@ -261,7 +261,7 @@ def run_solver(
             raise ValueError("srl requires a forward model")
         if g.shape != model.image_shape:
             raise ValueError(f"g has shape {g.shape}, the model expects {model.image_shape}")
-        blur, synthesize = model.blur, model.synthesize
+        blur, synthesize = model.blur, model.dictionary.synthesize
         state = np.ones(model.coeff_shape)
         step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y)
     else:

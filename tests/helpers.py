@@ -3,10 +3,11 @@
 import os
 
 import numpy as np
-from scipy import stats
+from scipy import ndimage, stats
 
 from poisson_deconv.core import EPS_DIV, as_image, log_inner, require_same_shape, safe_div
 from poisson_deconv.io import save_matrix_text, save_pgm
+from poisson_deconv.operators import ConvKernel
 
 
 def poisson_gof_pvalue(draws, mean):
@@ -83,3 +84,46 @@ def save_image(path, img: np.ndarray) -> None:
         save_pgm(path, img)
     else:
         save_matrix_text(path, img)
+
+
+def identity_kernel() -> ConvKernel:
+    return ConvKernel(taps=np.ones((1, 1)), normalized=True)
+
+
+class IdentityDictionary:
+    """Trivial dictionary whose coefficients are the image itself."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self.image_shape = (int(shape[0]), int(shape[1]))
+        self.coeff_shape = self.image_shape
+
+    def synthesize(self, c) -> np.ndarray:
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != self.coeff_shape:
+            raise ValueError("coefficient shape mismatch")
+        return c.copy()
+
+    def adjoint(self, f) -> np.ndarray:
+        f = np.asarray(f, dtype=np.float64)
+        if f.shape != self.image_shape:
+            raise ValueError("image shape mismatch")
+        return f.copy()
+
+
+def spline_synthesize_direct(c, generators) -> np.ndarray:
+    """Spline-pyramid synthesis as direct separable ndimage passes: plane j
+    convolved with b_j along rows, then columns, summed over the planes."""
+    out = np.zeros(c.shape[1:])
+    for plane, b in zip(c, generators):
+        tmp = ndimage.convolve1d(plane, b, axis=0, mode="wrap")
+        out += ndimage.convolve1d(tmp, b, axis=1, mode="wrap")
+    return out
+
+
+def spline_adjoint_direct(f, generators) -> np.ndarray:
+    """Adjoint of spline_synthesize_direct: one correlation plane per level."""
+    out = np.empty((len(generators), *f.shape))
+    for i, b in enumerate(generators):
+        tmp = ndimage.correlate1d(f, b, axis=0, mode="wrap")
+        out[i] = ndimage.correlate1d(tmp, b, axis=1, mode="wrap")
+    return out

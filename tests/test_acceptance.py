@@ -9,16 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import gradient_map, inner, poisson_gof_pvalue
+from helpers import IdentityDictionary, gradient_map, identity_kernel, inner, poisson_gof_pvalue
 from poisson_deconv.experiments import build_config, run_experiment
 from poisson_deconv.metrics import average_trials
 from poisson_deconv.operators import (
     ForwardModel,
     HaarBoxDictionary,
-    IdentityDictionary,
     PatchDictionary,
     SplineDictionary,
-    identity_kernel,
     make_kernel,
 )
 from poisson_deconv.simulate import poisson_sample, rng_for_trial

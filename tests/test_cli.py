@@ -111,6 +111,12 @@ class TestRun:
         assert main(["run", "not_a_preset_or_file"]) == 1
         assert "neither a config file nor a preset" in capsys.readouterr().err
 
+    def test_config_without_solvers_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("signal=sparse1d\ndictionary=haar\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "error: at least one solver is required" in capsys.readouterr().err
+
     def test_bad_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment=oned_high\nunknown_key=1\n")

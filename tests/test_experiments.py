@@ -1,5 +1,7 @@
 """Experiment harness: config resolution, trial orchestration, outputs."""
 
+import dataclasses
+import math
 import os
 
 import numpy as np
@@ -45,6 +47,51 @@ class TestConfigParsing:
             cfg = build_config({"experiment": name, "out_dir": "x"})
             assert cfg.n_trials == 200
             assert len(cfg.solvers) >= 1
+
+    def test_every_preset_resolves_as_before(self, tmp_path):
+        """Each preset's full resolved config, pinned field by field."""
+        atoms = tmp_path / "atoms.txt"
+        atoms.write_text("")
+
+        def solvers(lam, iters):
+            common = dict(epsilon_stop=1e-4, eps_div=1e-12, eps_tv=1e-8, gamma_tv=0.002, lam=lam)
+            return tuple(
+                {"method": m, "oracle": oracle, "config": dict(common, max_iters=n)}
+                for m, oracle, n in iters
+            )
+
+        oned = {
+            "experiment": "oned_high", "seed": 12345, "n_trials": 200, "signal": "sparse1d",
+            "out_dir": "out", "dump_trials": False, "jobs": 1, "n": 128, "rows": 128,
+            "cols": 128, "kernel": "gaussian", "cutoff": 0.2 * math.pi, "dictionary": "haar",
+            "haar_levels": (2, 3, 4, 5), "spline_levels": 3, "atoms_file": "",
+            "image_file": "", "peak": 256.0, "peak_on": "blurred", "snr_db": 15.0,
+            "sparsity": (0.015, 0.03),
+            "solvers": solvers(0.2, [("rl", True, 500), ("srl", False, 500)]),
+        }
+        twod = dict(
+            oned, signal="image2d", kernel="inverse_quadratic",
+            solvers=solvers(0.1, [("rl", True, 120), ("rltv", True, 120), ("srl", False, 600)]),
+        )
+        expected = {
+            "oned_high": ({}, oned),
+            "oned_low": ({}, dict(oned, experiment="oned_low", peak=32.0)),
+            "twod_splines": (
+                {}, dict(twod, experiment="twod_splines", dictionary="spline", spline_levels=4)
+            ),
+            "twod_patches": (
+                {"atoms_file": str(atoms)},
+                dict(twod, experiment="twod_patches", dictionary="patch", atoms_file=str(atoms)),
+            ),
+            "custom": (
+                {"signal": "sparse1d", "dictionary": "haar", "solvers": "rl"},
+                dict(oned, experiment="custom", solvers=solvers(0.2, [("rl", False, 500)])),
+            ),
+        }
+        assert set(expected) == set(PRESETS)
+        for name, (extra, fields) in expected.items():
+            resolved = dataclasses.asdict(build_config({"experiment": name, **extra}))
+            assert resolved == fields, name
 
     def test_oned_high_preset_values(self):
         """Preset pins the protocol: N=128, levels {2,3,4,5}, 0.2*pi cutoff,
@@ -103,6 +150,11 @@ class TestConfigParsing:
     def test_no_solvers_rejected(self):
         with pytest.raises(ValueError):
             build_config({"experiment": "oned_high", "solvers": ""})
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            build_config({"experiment": "oned_high", "jobs": jobs})
 
     def test_per_solver_max_iters(self):
         cfg = build_config({"experiment": "twod_splines"})

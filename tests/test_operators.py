@@ -4,6 +4,7 @@ Every adjoint is checked against an independently coded dense or
 direct-summation oracle, not against the implementation's own pieces.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,26 +13,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from helpers import inner
+from helpers import (
+    IdentityDictionary,
+    identity_kernel,
+    inner,
+    spline_adjoint_direct,
+    spline_synthesize_direct,
+)
 from poisson_deconv.operators import (
     ColumnFilter,
     ConvKernel,
     ForwardModel,
     FourierFilter,
     HaarBoxDictionary,
-    IdentityDictionary,
     PatchDictionary,
     SplineDictionary,
     blur_operator,
     conv_adjoint,
     conv_forward,
     gaussian_kernel_1d,
-    identity_kernel,
     inverse_quadratic_kernel,
     make_kernel,
     spline_generator,
     spline_generators,
 )
+from poisson_deconv.simulate import make_phantom
 
 
 def circ_conv_oracle(x, taps):
@@ -561,26 +567,40 @@ class TestFourierFilter:
         st.integers(0, 2**32 - 1),
     )
     def test_spline_levels_match_dictionary(self, rows, cols, n_levels, seed):
+        """A levelled filter over the spline kernels, and the dictionary that
+        owns one, against the direct separable passes."""
         rng = np.random.default_rng(seed)
         d = SplineDictionary((rows, cols), n_levels)
         filt = FourierFilter([np.outer(b, b) for b in d.generators], (rows, cols))
         c = rng.random(d.coeff_shape)
         y = rng.random(d.image_shape)
-        _close(filt.forward(c), d.synthesize(c))
-        _close(filt.adjoint(y), d.adjoint(y))
+        for synthesize, adjoint in ((filt.forward, filt.adjoint), (d.synthesize, d.adjoint)):
+            _close(synthesize(c), spline_synthesize_direct(c, d.generators))
+            _close(adjoint(y), spline_adjoint_direct(y, d.generators))
         lhs, rhs = inner(filt.forward(c), y), inner(c, filt.adjoint(y))
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
 
     def test_model_matches_direct_composition(self):
         rng = np.random.default_rng(40)
         kernel = make_kernel(rng.random((5, 3)))
-        for d in (SplineDictionary((16, 12), 2), PatchDictionary(rng.random((3, 4, 4)), 2, (8, 12))):
+        spline = SplineDictionary((16, 12), 2)
+        patch = PatchDictionary(rng.random((3, 4, 4)), 2, (8, 12))
+        # (dictionary, direct synthesis, direct adjoint); the patch passes are direct.
+        cases = [
+            (
+                spline,
+                lambda c: spline_synthesize_direct(c, spline.generators),
+                lambda f: spline_adjoint_direct(f, spline.generators),
+            ),
+            (patch, patch.synthesize, patch.adjoint),
+        ]
+        for d, synthesize, adjoint in cases:
             m = ForwardModel(kernel, d)
             c = rng.random(m.coeff_shape)
             y = rng.random(m.image_shape)
-            _close(m.forward(c), conv_forward(kernel, d.synthesize(c)))
-            _close(m.adjoint(y), d.adjoint(conv_adjoint(kernel, y)))
-            _close(m.v, d.adjoint(conv_adjoint(kernel, np.ones(m.image_shape))))
+            _close(m.forward(c), conv_forward(kernel, synthesize(c)))
+            _close(m.adjoint(y), adjoint(conv_adjoint(kernel, y)))
+            _close(m.v, adjoint(conv_adjoint(kernel, np.ones(m.image_shape))))
 
     def test_kernel_larger_than_image_rejected(self):
         with pytest.raises(ValueError, match="larger than image"):
@@ -615,6 +635,20 @@ def column_cases(draw):
     return taps, rng.random((n, 1)), rng.random((n, 1))
 
 
+@st.composite
+def levelled_column_cases(draw):
+    """A random column length, 1-4 odd level kernels no longer than it with
+    some taps exactly zero, J coefficient columns and an image column."""
+    n = draw(st.integers(1, 40))
+    n_levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels = []
+    for _ in range(n_levels):
+        k = draw(st.integers(0, (n - 1) // 2)) * 2 + 1
+        kernels.append(rng.random(k) * (rng.random(k) < 0.7))
+    return kernels, rng.random((n_levels, n, 1)), rng.random((n, 1))
+
+
 class TestColumnFilter:
     """The N x 1 gather path against ndimage and a dense circulant matrix."""
 
@@ -644,6 +678,40 @@ class TestColumnFilter:
         impulse[where % n] = value
         _assert_impulse_confined(filt.forward(impulse)[:, 0], dense[:, where % n] > 0, value)
         _assert_impulse_confined(filt.adjoint(impulse)[:, 0], dense[where % n] > 0, value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(levelled_column_cases())
+    def test_levels_match_direct_per_level(self, case):
+        kernels, c, y = case
+        n = y.shape[0]
+        filt = ColumnFilter([k[:, np.newaxis] for k in kernels], (n, 1))
+        assert filt.input_shape == c.shape
+        direct = sum(
+            ndimage.convolve(plane, k[:, np.newaxis], mode="wrap") for plane, k in zip(c, kernels)
+        )
+        _close(filt.forward(c), direct)
+        correlations = [ndimage.correlate(y, k[:, np.newaxis], mode="wrap") for k in kernels]
+        _close(filt.adjoint(y), np.stack(correlations))
+        lhs, rhs = inner(filt.forward(c), y), inner(c, filt.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(levelled_column_cases(), st.integers(0, 2**16), st.sampled_from([1.0, np.inf]))
+    def test_levels_keep_an_impulse_in_its_footprint(self, case, where, value):
+        """An impulse in one level's coefficients stays in that kernel's
+        footprint; an impulse in the image stays in each level's."""
+        kernels, c, y = case
+        n = y.shape[0]
+        filt = ColumnFilter([k[:, np.newaxis] for k in kernels], (n, 1))
+        dense = [dense_column_blur(k, n) for k in kernels]
+        level, p = where % len(kernels), where % n
+        impulse = np.zeros(c.shape)
+        impulse[level, p] = value
+        _assert_impulse_confined(filt.forward(impulse)[:, 0], dense[level][:, p] > 0, value)
+        impulse = np.zeros(y.shape)
+        impulse[p] = value
+        footprint = np.stack([d[p] > 0 for d in dense])
+        _assert_impulse_confined(filt.adjoint(impulse)[..., 0], footprint, value)
 
     def test_single_columns_get_the_column_filter(self):
         """N x 1 signals, alone or under a model, are blurred by a ColumnFilter
@@ -682,13 +750,23 @@ class TestDataPathKeepsExactZeros:
         assert np.all(out[~footprint] == 0.0) and np.all(out[footprint] > 0.0)
 
     def test_spline_synthesize(self):
-        d = SplineDictionary((24, 20), 2)
-        c = np.zeros(d.coeff_shape)
-        c[1, 2, 18] = 1.0
-        out = d.synthesize(c)
-        footprint = np.zeros(d.image_shape, dtype=bool)
-        footprint[np.ix_(np.arange(-1, 6) % 24, np.arange(15, 22) % 20)] = True
-        assert np.all(out[~footprint] == 0.0) and np.all(out[footprint] > 0.0)
+        """make_phantom synthesizes its spline part directly: outside the
+        ellipse that holds the spline atoms, widened by the widest atom's
+        half-width (the plateaus and the bar lie inside it), it is exactly 0,
+        and its bytes are pinned."""
+        digests = {
+            (128, 128): "a904d819951ec28ffe0831e4a7ab29ae6450dea7f692d3de14ecf0560d69ee78",
+            (64, 96): "5656eae82edf119fc6655b530400386896ca0add8c86b44a245c41bfd0a24722",
+        }
+        half = len(spline_generator(3)) // 2
+        for (rows, cols), digest in digests.items():
+            img = make_phantom(rows, cols)
+            r, q = np.mgrid[0:rows, 0:cols]
+            ellipse = ((r / rows - 0.5) / 0.38) ** 2 + ((q / cols - 0.5) / 0.40) ** 2 <= 1.0
+            support = ndimage.maximum_filter(ellipse, size=2 * half + 1, mode="wrap")
+            assert np.count_nonzero(~support) > 40
+            assert np.all(img[~support] == 0.0)
+            assert hashlib.sha256(img.tobytes()).hexdigest() == digest
 
     def test_haar_synthesize(self):
         d = HaarBoxDictionary(32, (1, 3))

@@ -5,18 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gradient_map, map_objective_weighted
+from helpers import IdentityDictionary, gradient_map, identity_kernel, map_objective_weighted
 from poisson_deconv.core import l1_norm, log_inner
 from poisson_deconv.metrics import nmse
 from poisson_deconv.operators import (
-    ColumnFilter,
     ForwardModel,
     HaarBoxDictionary,
-    IdentityDictionary,
     SplineDictionary,
     conv_forward,
     gaussian_kernel_1d,
-    identity_kernel,
     inverse_quadratic_kernel,
     make_kernel,
 )
@@ -439,7 +436,7 @@ def _reference_run(method, g, kernel, model, cfg, truth, mode):
             new = rltv_step(g, kernel, state, cfg.gamma_tv, cfg.eps_div, cfg.eps_tv)
         rel.append(float(np.linalg.norm(new - state)) / float(np.linalg.norm(state)))
         state = new
-        image = model.synthesize(state) if srl else state
+        image = model.dictionary.synthesize(state) if srl else state
         if method == "rl":
             obj.append(ml_objective(g, kernel, state))
         elif srl:
@@ -516,7 +513,7 @@ class TestRunSolverMatchesReferenceLoop:
             counted("synthesize", HaarBoxDictionary.synthesize),
         )
         monkeypatch.setattr(
-            ColumnFilter, "forward", counted("blur.forward", ColumnFilter.forward)
+            model.blur, "forward", counted("blur.forward", model.blur.forward)
         )
         res = run_solver(
             "srl", g, model=model, config=SolverConfig(max_iters=25), ground_truth=truth
