@@ -11,6 +11,7 @@ in this module mutates its arguments.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -54,7 +55,8 @@ def safe_div(num: np.ndarray, den: np.ndarray, eps: float = EPS_DIV) -> np.ndarr
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     require_same_shape(num, den)
-    return num / np.where(den == 0.0, eps, den)
+    # Without a zero to floor, skip the mask and the copy np.where would make.
+    return num / (den if den.all() else np.where(den == 0.0, eps, den))
 
 
 def log_inner(g: np.ndarray, x: np.ndarray) -> float:
@@ -67,10 +69,24 @@ def log_inner(g: np.ndarray, x: np.ndarray) -> float:
     g = np.asarray(g, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     require_same_shape(g, x)
+    return log_inner_with(g)(x)
+
+
+def log_inner_with(g: np.ndarray) -> Callable[[np.ndarray], float]:
+    """x -> log_inner(g, x) for float64 arrays x of g's shape, with the
+    support g > 0 and its values found once: the same elements are summed
+    in the same order, so the result is bit-identical."""
+    g = np.asarray(g, dtype=np.float64)
     mask = g > 0.0
-    if np.any(x[mask] <= 0.0):
-        return -math.inf
-    return float(np.sum(g[mask] * np.log(x[mask])))
+    weights = g[mask]
+
+    def inner(x: np.ndarray) -> float:
+        x = x[mask]
+        if np.any(x <= 0.0):
+            return -math.inf
+        return float(np.sum(weights * np.log(x)))
+
+    return inner
 
 
 def l1_norm(c) -> float:

@@ -10,6 +10,7 @@ echoed in the metrics CSV header so results stay comparable).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,23 @@ def nmse(f_true, f_hat) -> float:
     f_true = np.asarray(f_true, dtype=np.float64)
     f_hat = np.asarray(f_hat, dtype=np.float64)
     require_same_shape(f_true, f_hat)
+    return nmse_against(f_true)(f_hat)
+
+
+def nmse_against(f_true) -> Callable[[np.ndarray], float]:
+    """f_hat -> nmse(f_true, f_hat) with ||f_true||_F^2 computed once, for
+    scoring many estimates against one truth (bit-identical results)."""
+    f_true = np.asarray(f_true, dtype=np.float64)
     denom = float(np.sum(f_true * f_true))
     if denom == 0.0:
         raise ValueError("nmse undefined for an all-zero ground truth")
-    diff = f_true - f_hat
-    return float(np.sum(diff * diff)) / denom
+
+    def error(f_hat: np.ndarray) -> float:
+        require_same_shape(f_true, f_hat)
+        diff = f_true - f_hat
+        return float(np.sum(diff * diff)) / denom
+
+    return error
 
 
 def ssim(f_true, f_hat, window: int = SSIM_WINDOW) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .operators import ConvKernel, conv_forward, spline_generators
+from .operators import ConvKernel, SplineDictionary, conv_forward, spline_generators
 
 
 def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
@@ -48,7 +48,9 @@ def synth_sparse_signal(
     indices are chosen without replacement, and values are uniform on
     (0, 1]. Coefficients and signal are then rescaled together so the
     blurred signal's maximum equals `peak` (set `scale_blurred` False to
-    pin the unblurred maximum instead). Returns (c_true, f_true).
+    pin the unblurred maximum instead). A SplineDictionary's signal is
+    synthesized by direct passes, not its FFT filter, so it is exactly 0
+    off the support's footprint. Returns (c_true, f_true).
     """
     if peak <= 0:
         raise ValueError("peak must be positive")
@@ -66,14 +68,30 @@ def synth_sparse_signal(
     c = np.zeros(dim)
     c[support] = 1.0 - rng.uniform(0.0, 1.0, size=k)  # uniform on (0, 1]
     c = c.reshape(dictionary.coeff_shape)
-    f = dictionary.synthesize(c)
+    if isinstance(dictionary, SplineDictionary):
+        synthesize = lambda c: _spline_synthesis(c, dictionary.generators)
+    else:
+        synthesize = dictionary.synthesize
+    f = synthesize(c)
     reference = conv_forward(kernel, f) if scale_blurred else f
     ref_max = float(reference.max())
     if ref_max <= 0:
         raise ValueError("synthesized signal vanished; cannot scale to peak")
     c = c * (peak / ref_max)
     # Re-synthesize so the returned signal is bit-exactly representable.
-    return c, dictionary.synthesize(c)
+    return c, synthesize(c)
+
+
+def _spline_synthesis(c: np.ndarray, generators) -> np.ndarray:
+    """SplineDictionary synthesis on the data path, as direct separable
+    passes (plane j convolved with b_j along rows, then columns, summed
+    over the planes): an FFT would leave round-off where the signal is
+    exactly 0, and the Poisson sampler draws differently there."""
+    img = np.zeros(c.shape[1:])
+    for plane, b in zip(c, generators):
+        tmp = ndimage.convolve1d(plane, b, axis=0, mode="wrap")
+        img += ndimage.convolve1d(tmp, b, axis=1, mode="wrap")
+    return img
 
 
 def scale_to_snr(f, target_snr_db: float) -> np.ndarray:
@@ -133,12 +151,7 @@ def make_phantom(rows: int = 128, cols: int = 128) -> np.ndarray:
     place(2, 12, 0.5, 1.0)
     place(1, 14, 0.3, 0.7)
     place(0, 10, 0.2, 0.5)
-    # The SplineDictionary synthesis, as direct separable passes: an FFT
-    # would leave round-off where the phantom is exactly 0.
-    img = np.zeros((rows, cols))
-    for plane, b in zip(c, generators):
-        tmp = ndimage.convolve1d(plane, b, axis=0, mode="wrap")
-        img += ndimage.convolve1d(tmp, b, axis=1, mode="wrap")
+    img = _spline_synthesis(c, generators)
     peak = float(img.max())
     y, x = np.mgrid[0:rows, 0:cols]
     y = y / rows

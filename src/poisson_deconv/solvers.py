@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_DIV, as_image, l1_norm, log_inner, safe_div
-from .metrics import nmse
+from .core import EPS_DIV, as_image, l1_norm, log_inner, log_inner_with, safe_div
+from .metrics import nmse_against
 from .operators import Blur, ConvKernel, ForwardModel, blur_operator
 
 #: Floor for the RLTV denominator 1 - gamma * curvature, preventing sign flips.
@@ -261,13 +261,14 @@ def run_solver(
             raise ValueError("srl requires a forward model")
         if g.shape != model.image_shape:
             raise ValueError(f"g has shape {g.shape}, the model expects {model.image_shape}")
-        blur, synthesize = model.blur, model.dictionary.synthesize
+        evaluate = model.evaluate
         state = np.ones(model.coeff_shape)
         step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y)
     else:
         if kernel is None:
             raise ValueError(f"{method} requires a convolution kernel")
-        blur, synthesize = blur_operator(kernel, g.shape), None
+        blur = blur_operator(kernel, g.shape)
+        evaluate = lambda f: (f, blur.forward(f))
         state = np.full(g.shape, g.mean())
         if method == "rl":
             step = lambda f, y: rl_step(g, blur, f, cfg.eps_div, y)
@@ -284,6 +285,9 @@ def run_solver(
     track_nmse = ground_truth is not None
     trace = SolverTrace(nmse=[] if track_nmse else None, oracle=(mode == "nmse_optimal"))
     best, best_err = None, np.inf
+    # Per-run constants: the data's support and the truth's energy.
+    g_log = log_inner_with(g)
+    error = nmse_against(ground_truth) if track_nmse else None
 
     terminated = "nmse_optimal" if trace.oracle else "max_iters"
     blurred = None  # the first step blurs its starting point itself
@@ -294,17 +298,17 @@ def run_solver(
         delta = float(np.linalg.norm(new_state - state))
         rel = delta / prev_norm if prev_norm > 0 else np.inf
         state = new_state
-        image = state if synthesize is None else synthesize(state)
-        blurred = blur.forward(image)
-        objective = _neg_log_likelihood(g, blurred)
+        image, blurred = evaluate(state)
+        objective = float(blurred.sum()) - g_log(blurred)
         if method == "srl":
-            objective += cfg.lam * l1_norm(state)
+            # l1_norm without its sign check: the step clamps at 0.
+            objective += cfg.lam * float(np.sum(state))
         elif method == "rltv":
             objective += cfg.gamma_tv * tv_norm(state)
         trace.rel_change.append(rel)
         trace.objective.append(objective)
         if track_nmse:
-            err = nmse(ground_truth, image)
+            err = error(image)
             trace.nmse.append(err)
             if trace.oracle and err < best_err:
                 best, best_err = (state, image), err

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,30 @@ class TestRunExperiment:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "par" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            tiny_oned_mapping("", max_iters="15"),
+            {"experiment": "twod_splines", "rows": "32", "cols": "32", "seed": "7",
+             "max_iters": "8", "max_iters_srl": "8"},
+        ],
+        ids=["oned_high", "twod_splines"],
+    )
+    def test_trial_files_independent_of_trial_count(self, tmp_path, mapping):
+        """Trial t's dumped files are byte-identical in a 3-trial and a
+        7-trial run: each trial owns its (seed, trial) stream and shares no
+        state with the others. Batching trials must keep this."""
+        for n in (3, 7):
+            run_experiment(build_config(
+                {**mapping, "n_trials": str(n), "dump_trials": "true",
+                 "out_dir": str(tmp_path / str(n))}
+            ))
+        # Every dumped name carries its trial index; the aggregates do not.
+        found = [re.search(r"_(\d+)[._]", p.name) for p in (tmp_path / "3").iterdir()]
+        assert {m.group(1) for m in found if m} == {"0", "1", "2"}
+        for name in (m.string for m in found if m):
+            assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "7" / name).read_bytes()
 
     def test_dump_trials_writes_artifacts(self, tmp_path):
         cfg = build_config(

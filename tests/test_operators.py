@@ -526,6 +526,61 @@ class TestForwardModel:
 
 
 @st.composite
+def fused_cases(draw):
+    """A spline model with 1-4 levels on a random shape (odd or even sides)
+    under a random odd blur kernel, symmetric or not (an asymmetric kernel
+    has a complex transfer function), with coefficients and an image."""
+    n_levels = draw(st.integers(1, 4))
+    least = len(spline_generator(n_levels - 1))
+    rows, cols = draw(st.integers(least, least + 9)), draw(st.integers(least, least + 9))
+    kr = draw(st.integers(0, min(3, (rows - 1) // 2))) * 2 + 1
+    kc = draw(st.integers(0, min(3, (cols - 1) // 2))) * 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.random((kr, kc))
+    if draw(st.booleans()):
+        taps = (taps + taps[::-1, ::-1]) / 2.0
+    model = ForwardModel(make_kernel(taps), SplineDictionary((rows, cols), n_levels))
+    return model, rng.random(model.coeff_shape), rng.random(model.image_shape)
+
+
+class TestFusedSplineModel:
+    """A spline model under a 2-D blur evaluates A and A* in the DFT basis;
+    checked against the direct ndimage spline passes and conv_forward."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(fused_cases())
+    def test_matches_direct_spline_then_blur(self, case):
+        model, c, y = case
+        generators, kernel = model.dictionary.generators, model.kernel
+        tol = dict(rtol=1e-12, atol=1e-12)
+        image, blurred = model.evaluate(c)
+        direct = spline_synthesize_direct(c, generators)
+        np.testing.assert_allclose(image, direct, **tol)
+        np.testing.assert_allclose(blurred, conv_forward(kernel, direct), **tol)
+        np.testing.assert_allclose(
+            model.adjoint(y), spline_adjoint_direct(conv_adjoint(kernel, y), generators), **tol
+        )
+        # One definition of A: forward and synthesis give the pair's bits.
+        np.testing.assert_array_equal(model.forward(c), blurred)
+        np.testing.assert_array_equal(model.dictionary.synthesize(c), image)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fused_cases())
+    def test_adjoint_identity(self, case):
+        model, c, y = case
+        lhs, rhs = inner(model.forward(c), y), inner(c, model.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    def test_pair_filter_must_be_one_kernel_on_the_same_shape(self):
+        d = SplineDictionary((16, 16), 2)
+        for blur in (FourierFilter(np.ones((3, 3)), (16, 18)), d._filter):
+            with pytest.raises(ValueError, match="one kernel"):
+                d.synthesize(np.ones(d.coeff_shape), blur)
+            with pytest.raises(ValueError, match="one kernel"):
+                d.adjoint(np.ones(d.image_shape), blur)
+
+
+@st.composite
 def filter_cases(draw):
     """A random image shape, a random odd kernel that fits it (symmetric or
     not), and the image and its adjoint-side partner."""

@@ -9,8 +9,10 @@ from helpers import poisson_gof_pvalue
 from poisson_deconv.operators import (
     ForwardModel,
     HaarBoxDictionary,
+    SplineDictionary,
     conv_forward,
     gaussian_kernel_1d,
+    inverse_quadratic_kernel,
 )
 from poisson_deconv.simulate import (
     make_phantom,
@@ -89,6 +91,23 @@ class TestSparseSignalSynthesis:
         c, f = synth_sparse_signal(dictionary, kernel, 256.0, rng_for_trial(7, 0))
         np.testing.assert_array_equal(f, dictionary.synthesize(c))
         assert np.all(c >= 0) and np.all(f >= 0)
+
+    def test_spline_signal_exactly_zero_off_its_footprint(self):
+        """One coefficient on a 2-level spline dictionary: the signal is
+        positive on the atom's square footprint and exactly 0 elsewhere, so
+        the Poisson draws there are exact zeros too."""
+        dictionary = SplineDictionary((24, 20), 2)
+        c, f = synth_sparse_signal(
+            dictionary, inverse_quadratic_kernel(2), 50.0, rng_for_trial(3, 0),
+            fraction_range=(0.001, 0.001),
+        )
+        (level, r, q), = np.argwhere(c)
+        half = len(dictionary.generators[level]) // 2
+        footprint = np.zeros(f.shape, dtype=bool)
+        rows = np.arange(r - half, r + half + 1) % 24
+        cols = np.arange(q - half, q + half + 1) % 20
+        footprint[np.ix_(rows, cols)] = True
+        assert np.all(f[~footprint] == 0.0) and np.all(f[footprint] > 0.0)
 
     def test_values_in_unit_interval_before_scaling(self):
         kernel, dictionary = self._setup()

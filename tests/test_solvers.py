@@ -522,6 +522,55 @@ class TestRunSolverMatchesReferenceLoop:
         assert counts == {"synthesize": 26, "blur.forward": 26}
 
 
+class TestSrlObjectiveMonotone:
+    """SRL's update is the exact EM step for the Poisson likelihood plus
+    lam * 1'c on c >= 0 (Shepp & Vardi 1982; Lange & Carson 1984), so its
+    objective never rises beyond round-off, from the starting point on."""
+
+    @pytest.mark.parametrize("path", ["fused_spline", "haar"])
+    def test_nonincreasing(self, path):
+        rng = np.random.default_rng(33)
+        if path == "haar":
+            kernel = gaussian_kernel_1d(0.2 * math.pi)
+            model = ForwardModel(kernel, HaarBoxDictionary(128))
+            _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
+        else:
+            kernel = inverse_quadratic_kernel(2)
+            model = ForwardModel(kernel, SplineDictionary((24, 20), 3))
+            truth = rng.random((24, 20)) * 20.0
+        g = poisson_sample(conv_forward(kernel, truth), rng)
+        cfg = SolverConfig(lam=0.1, epsilon_stop=1e-15, max_iters=300)
+        res = run_solver("srl", g, model=model, config=cfg)
+        assert res.trace.terminated_by == "max_iters"
+        obj = [map_objective(g, model, np.ones(model.coeff_shape), cfg.lam)] + res.trace.objective
+        rises = np.diff(obj)
+        assert np.all(rises <= 1e-12 * np.abs(obj).max()), rises.max()
+        assert obj[-1] < obj[0]
+
+
+class TestFusedSplineIteration:
+    def test_eleven_plane_transforms(self, monkeypatch):
+        """At J = 4 a step on the carried blurred model (1 transform in, J
+        out) and the next iterate's evaluation (J in, 2 out) take 11 plane
+        transforms, where going through image space took 14."""
+        model = ForwardModel(inverse_quadratic_kernel(2), SplineDictionary((32, 32), 4))
+        c = np.ones(model.coeff_shape)
+        blurred = model.forward(c)
+        g = np.round(blurred)
+        planes = {"in": 0, "out": 0}
+
+        def counted(side, fn):
+            def wrapper(a, *args, **kwargs):
+                planes[side] += a.size // (a.shape[-2] * a.shape[-1])
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfft", counted("in", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted("out", np.fft.irfft))
+        model.evaluate(srl_step(g, model, c, 0.1, blurred=blurred))
+        assert planes == {"in": 1 + 4, "out": 4 + 2}
+
+
 class TestRunSolverInputs:
     """Bad inputs are rejected before the first iteration."""
 
