@@ -82,9 +82,9 @@ def log_inner_with(g: np.ndarray) -> Callable[[np.ndarray], float]:
 
     def inner(x: np.ndarray) -> float:
         x = x[mask]
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             return -math.inf
-        return float(np.sum(weights * np.log(x)))
+        return float((weights * np.log(x)).sum())
 
     return inner
 

@@ -42,7 +42,7 @@ def nmse_against(f_true) -> Callable[[np.ndarray], float]:
     def error(f_hat: np.ndarray) -> float:
         require_same_shape(f_true, f_hat)
         diff = f_true - f_hat
-        return float(np.sum(diff * diff)) / denom
+        return float((diff * diff).sum()) / denom
 
     return error
 

@@ -24,21 +24,21 @@ this way, against 14 through image space. The Haar and patch models
 compose blur and synthesis plainly.
 
 Under periodic boundaries the blur and the shift-invariant dictionaries
-are circulant, each fully described by its kernels, so each is one
-precomputed filter taking one kernel or a list of J level kernels. On 2-D
-images, where the DFT diagonalizes them, that is a pointwise multiply by
-a transfer function (FourierFilter: the 2-D blur and the spline pyramid).
-On N x 1 columns, where a short sum beats an FFT pair, it is a gather and
-a dot product over a precomputed table of wrapped indices (ColumnFilter:
-the 1-D blur and the Haar boxes). The only direct convolutions here are
-conv_forward and conv_adjoint. The data path (simulate) uses them, the
-Haar gathers and its own direct spline synthesis, never an FFT, so it
-keeps exact zeros.
+are circulant, each fully described by its kernels. On 2-D images, where
+the DFT diagonalizes them, each is a pointwise multiply by a precomputed
+transfer function (FourierFilter, over one kernel or a list of J level
+kernels: the 2-D blur and the spline pyramid). On N x 1 columns, where a
+short sum beats an FFT pair, the blur is one kernel applied as a gather
+and a dot product over a precomputed table of wrapped indices
+(ColumnFilter), and the Haar boxes are dyadic running sums: a box of
+width 2w is two boxes of width w, w apart (HaarBoxDictionary). The only
+direct convolutions here are conv_forward and conv_adjoint. The data path
+(simulate) uses them, the Haar running sums and its own direct spline
+synthesis, never an FFT, so it keeps exact zeros.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -163,17 +163,20 @@ def _image(spec: np.ndarray, cols: int) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), n=cols, axis=-1)
 
 
+def _kernel(taps, shape) -> np.ndarray:
+    """`taps` as a float 2-D kernel, checked to be odd-sized and to fit `shape`."""
+    k = np.asarray(taps, dtype=np.float64)
+    if k.ndim != 2 or any(s % 2 == 0 for s in k.shape):
+        raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
+    if k.shape[0] > shape[0] or k.shape[1] > shape[1]:
+        raise ValueError(f"kernel {k.shape} larger than image {shape}")
+    return k
+
+
 def _level_kernels(taps, shape) -> tuple[int, list[np.ndarray]]:
-    """(J, kernels) for one kernel (J = 0) or a list of J level kernels,
-    each checked to be odd-sized and to fit `shape`."""
+    """(J, kernels) for one kernel (J = 0) or a list of J level kernels."""
     levels = len(taps) if isinstance(taps, list) else 0
-    kernels = [np.asarray(k, dtype=np.float64) for k in (taps if levels else [taps])]
-    for k in kernels:
-        if k.ndim != 2 or any(s % 2 == 0 for s in k.shape):
-            raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
-        if k.shape[0] > shape[0] or k.shape[1] > shape[1]:
-            raise ValueError(f"kernel {k.shape} larger than image {shape}")
-    return levels, kernels
+    return levels, [_kernel(k, shape) for k in (taps if levels else [taps])]
 
 
 class FourierFilter:
@@ -247,56 +250,37 @@ class FourierFilter:
 
 
 class ColumnFilter:
-    """Centred taps applied circularly to an N x 1 column as gathers and
-    dot products over precomputed tables of wrapped indices.
+    """One centred column kernel applied circularly to an N x 1 column as a
+    gather and a dot product over a precomputed table of wrapped indices.
 
-    `taps` and `shape` are as for FourierFilter, with column kernels and an
-    N x 1 image shape: forward and adjoint match conv_forward and
-    conv_adjoint to rounding. For J levels, forward maps (J, N, 1)
-    coefficients to the sum of their convolutions in one gather and one
-    dot product, and adjoint returns the J correlations from one gather
-    and one dot product per level (so a non-finite entry reaches no other
-    level). As in ndimage, taps at or below machine epsilon are left out,
-    so every output sums only the products inside its own footprint: exact
-    zeros stay exact and a non-finite entry spreads no further.
+    forward and adjoint match conv_forward and conv_adjoint to rounding. As
+    in ndimage, taps at or below machine epsilon are left out, so every
+    output sums only the products inside its own footprint: exact zeros
+    stay exact and a non-finite entry spreads no further.
     """
 
     def __init__(self, taps, shape: tuple[int, int]):
         rows, cols = int(shape[0]), int(shape[1])
         if cols != 1:
             raise ValueError(f"a ColumnFilter serves N x 1 images, got {shape}")
-        self.levels, kernels = _level_kernels(taps, (rows, cols))
+        taps = _kernel(taps, (rows, cols))[:, 0]
         self.image_shape = (rows, 1)
-        self.input_shape = (self.levels, rows, 1) if self.levels else self.image_shape
-        # All levels' taps in one vector. conv_forward sums taps[t] x[i + s]
-        # with shift s = half - t, and conv_adjoint the same with -s; level
-        # j's coefficients start at j * rows of the flat input.
-        sizes = [k.shape[0] for k in kernels]
-        ends = list(itertools.accumulate(sizes))
-        taps = np.concatenate(kernels)[:, 0]
+        # conv_forward sums taps[t] x[i + s] with shift s = half - t, and
+        # conv_adjoint the same with -s.
         kept = np.flatnonzero(np.abs(taps) > np.finfo(np.float64).eps)
-        level = np.searchsorted(ends, kept, side="right")
-        shifts = np.array([end - size // 2 - 1 for end, size in zip(ends, sizes)])[level] - kept
-        reach = max(sizes) // 2
+        reach = taps.size // 2
         table = _shift_table(rows, reach)
         self._taps = taps[kept]
-        self._forward_idx = np.ascontiguousarray(table[:, reach + shifts] + rows * level)
-        self._adjoint_idx = np.ascontiguousarray(table[:, reach - shifts])
-        # The adjoint's level blocks: the kept taps before each level's end.
-        bounds = np.searchsorted(kept, ends).tolist()
-        self._blocks = [(slice(a, b), self._taps[a:b]) for a, b in zip([0] + bounds, bounds)]
+        self._forward_idx = np.ascontiguousarray(table[:, 2 * reach - kept])
+        self._adjoint_idx = np.ascontiguousarray(table[:, kept])
 
     def forward(self, x) -> np.ndarray:
-        flat = _checked(x, self.input_shape).ravel()
+        flat = _checked(x, self.image_shape).ravel()
         return (flat[self._forward_idx] @ self._taps)[:, np.newaxis]
 
     def adjoint(self, y) -> np.ndarray:
-        gathered = _checked(y, self.image_shape).ravel()[self._adjoint_idx]
-        if not self.levels:
-            return (gathered @ self._taps)[:, np.newaxis]
-        # One dot product per level, so a non-finite entry reaches no other level.
-        out = np.concatenate([gathered[:, cols] @ w for cols, w in self._blocks])
-        return out.reshape(self.input_shape)
+        flat = _checked(y, self.image_shape).ravel()
+        return (flat[self._adjoint_idx] @ self._taps)[:, np.newaxis]
 
 
 #: The operators blur_operator builds, each applying one kernel to one image shape.
@@ -332,12 +316,20 @@ class HaarBoxDictionary:
     entries of height 2^(-j/2) (unit l2 norm). Coefficients form one flat
     vector of length N * len(levels), level blocks in the given order,
     index k within a block selecting the shift.
+
+    Both passes are dyadic running sums over one circularly extended copy,
+    N + W - 1 entries long for the widest box W: a sum of width 2w is two
+    sums of width w, w apart. Only sums of nonnegative terms and one
+    scaling are formed, so exact zeros stay exact and an inf stays in its
+    footprint.
     """
 
     def __init__(self, n: int, levels=(2, 3, 4, 5)):
         if n < 2:
             raise ValueError("signal length must be at least 2")
         levels = tuple(int(j) for j in levels)
+        if not levels:
+            raise ValueError("at least one level is required")
         max_level = int(math.floor(math.log2(n))) - 1
         for j in levels:
             if j < 0 or j > max_level:
@@ -350,14 +342,23 @@ class HaarBoxDictionary:
         self.levels = levels
         self.image_shape = (self.n, 1)
         self.coeff_shape = (self.n * len(levels),)
-        # Level j's causal box as a centred kernel: 2^j - 1 zero taps, then
-        # 2^j taps of 2^(-j/2).
-        boxes = []
-        for j in levels:
-            box = np.zeros((2 ** (j + 1) - 1, 1))
-            box[2**j - 1 :] = 2.0 ** (-j / 2.0)
-            boxes.append(box)
-        self._filter = ColumnFilter(boxes, self.image_shape)
+        widest = max(levels)
+        span = np.arange(n + 2**widest - 1)
+        block = {j: b for b, j in enumerate(levels)}
+        self._scale = 2.0 ** (-np.array(levels)[:, np.newaxis] / 2.0)
+        # Synthesis: each block extended circularly to the left, so entry
+        # i + W - 1 ends pixel i's sums; the widest block first, then per
+        # narrower width a doubling and that width's block, if any.
+        self._synth_idx = (span - 2**widest + 1) % n + n * np.arange(len(levels))[:, np.newaxis]
+        self._synth_first = block[widest]
+        self._synth_steps = [(2**j, block.get(j)) for j in range(widest - 1, -1, -1)]
+        # Adjoint: the image extended circularly to the right, so entry k
+        # starts shift k's sums; per width from 1 up, the doubling that
+        # reaches it, then that width's block, if any.
+        self._adjoint_idx = span % n
+        self._adjoint_steps = [
+            (2 ** (j - 1) if j else 0, block.get(j), 2.0 ** (-j / 2.0)) for j in range(widest + 1)
+        ]
 
     def synthesize(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)
@@ -365,10 +366,24 @@ class HaarBoxDictionary:
             raise ValueError(
                 f"coefficient shape {c.shape} does not match {self.coeff_shape}"
             )
-        return self._filter.forward(c.reshape(self._filter.input_shape))
+        blocks = c[self._synth_idx]
+        blocks *= self._scale
+        out = blocks[self._synth_first]
+        for width, b in self._synth_steps:
+            out = out[width:] + out[:-width]
+            if b is not None:
+                out += blocks[b, -out.size :]
+        return out[:, np.newaxis]
 
     def adjoint(self, f) -> np.ndarray:
-        return self._filter.adjoint(f).ravel()
+        sums = _checked(f, self.image_shape).ravel()[self._adjoint_idx]
+        out = np.empty((len(self.levels), self.n))
+        for shift, b, scale in self._adjoint_steps:
+            if shift:
+                sums = sums[:-shift] + sums[shift:]
+            if b is not None:
+                np.multiply(sums[: self.n], scale, out=out[b])
+        return out.ravel()
 
 
 def spline_generator(j: int, normalized: bool = True) -> np.ndarray:
@@ -451,6 +466,8 @@ class PatchDictionary:
             raise ValueError("atoms must have shape (num_atoms, patch_rows, patch_cols)")
         if np.any(atoms < 0) or not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite and nonnegative")
+        if not np.any(atoms):
+            raise ValueError(f"atoms {atoms.shape} hold no positive entry, so every model is 0")
         n_atoms, pr, pc = atoms.shape
         rows, cols = int(image_shape[0]), int(image_shape[1])
         stride = pr // 2 if stride is None else int(stride)

@@ -141,7 +141,8 @@ def rl_step(
     blur = blur_operator(kernel, f.shape)
     blurred = blur.forward(f) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    out = f * blur.adjoint(ratio)
+    out = blur.adjoint(ratio)
+    out *= f
     return np.maximum(out, 0.0, out=out)
 
 
@@ -155,7 +156,8 @@ def srl_step(
     c = np.asarray(c, dtype=np.float64)
     blurred = model.forward(c) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    out = model.adjoint(ratio) * safe_div(c, model.v + lam, eps_div)
+    out = model.adjoint(ratio)
+    out *= safe_div(c, model.v + lam, eps_div)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -211,6 +213,12 @@ def rltv_step(
 # ---------------------------------------------------------------------------
 
 METHODS = ("rl", "srl", "rltv")
+
+
+def _norm(x: np.ndarray) -> float:
+    # What np.linalg.norm(x) computes, bit for bit, without its Python layers.
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def run_solver(
@@ -294,15 +302,15 @@ def run_solver(
     for _ in range(cfg.max_iters):
         image = None  # only `blurred` is held across the step, to keep peak memory down
         new_state = step(state, blurred)
-        prev_norm = float(np.linalg.norm(state))
-        delta = float(np.linalg.norm(new_state - state))
+        prev_norm = _norm(state)
+        delta = _norm(new_state - state)
         rel = delta / prev_norm if prev_norm > 0 else np.inf
         state = new_state
         image, blurred = evaluate(state)
         objective = float(blurred.sum()) - g_log(blurred)
         if method == "srl":
             # l1_norm without its sign check: the step clamps at 0.
-            objective += cfg.lam * float(np.sum(state))
+            objective += cfg.lam * float(state.sum())
         elif method == "rltv":
             objective += cfg.gamma_tv * tv_norm(state)
         trace.rel_change.append(rel)

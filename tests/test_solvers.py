@@ -11,6 +11,7 @@ from poisson_deconv.metrics import nmse
 from poisson_deconv.operators import (
     ForwardModel,
     HaarBoxDictionary,
+    PatchDictionary,
     SplineDictionary,
     conv_forward,
     gaussian_kernel_1d,
@@ -351,14 +352,21 @@ class TestRunSolver:
         np.testing.assert_allclose(res.estimate, g, rtol=1e-12)
 
     def test_rl_objective_monotone_in_trace(self):
+        """RL is EM for Poisson data, so its objective never rises beyond
+        round-off, from the flat starting point on: on a 2-D image
+        (FourierFilter blur) and on an N x 1 column (ColumnFilter blur)."""
         rng = np.random.default_rng(20)
-        k = make_kernel(rng.random((3, 3)))
-        f_true = rng.random((12, 12)) * 4.0
-        g = poisson_sample(conv_forward(k, f_true) + 0.5, rng)
+        cases = [
+            (make_kernel(rng.random((3, 3))), rng.random((12, 12)) * 4.0),
+            (gaussian_kernel_1d(0.2 * math.pi), rng.random((64, 1)) * 4.0),
+        ]
         cfg = SolverConfig(epsilon_stop=1e-9, max_iters=60)
-        res = run_solver("rl", g, kernel=k, config=cfg)
-        e = np.array(res.trace.objective)
-        assert np.all(np.diff(e) <= 1e-12 * np.abs(e[:-1]))
+        for k, f_true in cases:
+            g = poisson_sample(conv_forward(k, f_true) + 0.5, rng)
+            res = run_solver("rl", g, kernel=k, config=cfg)
+            e = np.array([ml_objective(g, k, np.full(g.shape, g.mean()))] + res.trace.objective)
+            assert np.all(np.diff(e) <= 1e-12 * np.abs(e[:-1]))
+            assert e[-1] < e[0]
 
     def test_srl_relative_change_decays_on_high_count_setup(self):
         """Seeded 1-D high-count trial: the step size decays monotonically in
@@ -527,13 +535,17 @@ class TestSrlObjectiveMonotone:
     lam * 1'c on c >= 0 (Shepp & Vardi 1982; Lange & Carson 1984), so its
     objective never rises beyond round-off, from the starting point on."""
 
-    @pytest.mark.parametrize("path", ["fused_spline", "haar"])
+    @pytest.mark.parametrize("path", ["fused_spline", "haar", "patch"])
     def test_nonincreasing(self, path):
         rng = np.random.default_rng(33)
         if path == "haar":
             kernel = gaussian_kernel_1d(0.2 * math.pi)
             model = ForwardModel(kernel, HaarBoxDictionary(128))
             _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
+        elif path == "patch":
+            kernel = inverse_quadratic_kernel(2)
+            model = ForwardModel(kernel, PatchDictionary(rng.random((4, 4, 4)), 2, (16, 12)))
+            truth = rng.random((16, 12)) * 20.0
         else:
             kernel = inverse_quadratic_kernel(2)
             model = ForwardModel(kernel, SplineDictionary((24, 20), 3))
