@@ -45,6 +45,16 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
+def floor_zeros(den: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
+    """`den` with its exact zeros replaced by `eps`: what safe_div divides by.
+
+    Returns `den` itself when it holds no zero.
+    """
+    den = np.asarray(den, dtype=np.float64)
+    # Without a zero to floor, skip the mask and the copy np.where would make.
+    return den if den.all() else np.where(den == 0.0, eps, den)
+
+
 def safe_div(num: np.ndarray, den: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
     """Pointwise num/den with exact zeros in `den` floored to `eps`.
 
@@ -55,8 +65,7 @@ def safe_div(num: np.ndarray, den: np.ndarray, eps: float = EPS_DIV) -> np.ndarr
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     require_same_shape(num, den)
-    # Without a zero to floor, skip the mask and the copy np.where would make.
-    return num / (den if den.all() else np.where(den == 0.0, eps, den))
+    return num / floor_zeros(den, eps)
 
 
 def log_inner(g: np.ndarray, x: np.ndarray) -> float:

@@ -122,12 +122,18 @@ def load_image(path) -> np.ndarray:
 
 
 def save_atoms(path, atoms: np.ndarray, stride: int) -> None:
-    """Write patch atoms: header `patch_rows patch_cols num_atoms stride`."""
+    """Write patch atoms: header `patch_rows patch_cols num_atoms stride`.
+
+    Rejects what load_atoms would refuse to read back: an empty atom set,
+    a stride below 1, and negative or non-finite atom values.
+    """
     atoms = np.asarray(atoms, dtype=np.float64)
-    if atoms.ndim != 3:
-        raise ValueError("atoms must have shape (num_atoms, patch_rows, patch_cols)")
-    if np.any(atoms < 0):
-        raise ValueError("atoms must be nonnegative")
+    if atoms.ndim != 3 or 0 in atoms.shape:
+        raise ValueError("atoms must have shape (num_atoms, patch_rows, patch_cols), none 0")
+    if int(stride) < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if not np.all(np.isfinite(atoms)) or np.any(atoms < 0):
+        raise ValueError("atoms must be finite and nonnegative")
     n_atoms, pr, pc = atoms.shape
     with open(path, "w") as fh:
         fh.write(f"{pr} {pc} {n_atoms} {int(stride)}\n")
@@ -136,7 +142,8 @@ def save_atoms(path, atoms: np.ndarray, stride: int) -> None:
 
 
 def load_atoms(path) -> tuple[np.ndarray, int]:
-    """Read a patch atom file, rejecting negative entries. Returns (atoms, stride)."""
+    """Read a patch atom file, rejecting negative or non-finite entries.
+    Returns (atoms, stride)."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4:
@@ -151,6 +158,8 @@ def load_atoms(path) -> tuple[np.ndarray, int]:
         raise ValueError(
             f"{path}: expected {n_atoms} atoms of {pr * pc} values, got {data.shape}"
         )
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite atom values")
     if np.any(data < 0):
         raise ValueError(f"{path}: negative atom values")
     return data.reshape(n_atoms, pr, pc), stride

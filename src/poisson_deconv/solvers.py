@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_DIV, as_image, l1_norm, log_inner, log_inner_with, safe_div
+from .core import EPS_DIV, as_image, floor_zeros, l1_norm, log_inner, log_inner_with, safe_div
 from .metrics import nmse_against
 from .operators import Blur, ConvKernel, ForwardModel, blur_operator
 
@@ -147,17 +147,18 @@ def rl_step(
 
 
 def srl_step(
-    g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV, blurred=None
+    g, model: ForwardModel, c, lam: float, eps_div: float = EPS_DIV, blurred=None, weight=None
 ) -> np.ndarray:
     """One sparse-RL update: A*{ g / A{c} } * c / (v + lam).
 
-    Multiplicative in c, so exact zeros stay exactly zero.
+    Multiplicative in c, so exact zeros stay exactly zero. `weight` may
+    pass in v + lam with its zeros floored to eps_div, constant for a run.
     """
     c = np.asarray(c, dtype=np.float64)
     blurred = model.forward(c) if blurred is None else blurred
     ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
     out = model.adjoint(ratio)
-    out *= safe_div(c, model.v + lam, eps_div)
+    out *= safe_div(c, model.v + lam, eps_div) if weight is None else c / weight
     return np.maximum(out, 0.0, out=out)
 
 
@@ -271,7 +272,8 @@ def run_solver(
             raise ValueError(f"g has shape {g.shape}, the model expects {model.image_shape}")
         evaluate = model.evaluate
         state = np.ones(model.coeff_shape)
-        step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y)
+        weight = floor_zeros(model.v + cfg.lam, cfg.eps_div)
+        step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y, weight)
     else:
         if kernel is None:
             raise ValueError(f"{method} requires a convolution kernel")

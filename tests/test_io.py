@@ -127,3 +127,30 @@ class TestAtomFiles:
         path.write_text("2 2 2 1\n1 2 3 4\n")
         with pytest.raises(ValueError):
             load_atoms(path)
+
+    @pytest.mark.parametrize(
+        "atoms,stride,match",
+        [
+            (np.ones((2, 3, 3)), 0, "stride must be at least 1"),
+            (np.ones((2, 3, 3)), -2, "stride must be at least 1"),
+            (np.zeros((0, 3, 3)), 1, "none 0"),
+            (np.full((1, 2, 2), np.nan), 1, "finite"),
+            (np.array([[[1.0, np.inf], [0.0, 1.0]]]), 1, "finite"),
+            (-np.ones((1, 2, 2)), 1, "nonnegative"),
+        ],
+        ids=["stride-0", "stride-negative", "no-atoms", "nan", "inf", "negative"],
+    )
+    def test_save_rejects_what_load_refuses(self, tmp_path, atoms, stride, match):
+        """Every file save_atoms writes reads back: it refuses what
+        load_atoms would, and writes nothing."""
+        path = tmp_path / "atoms.txt"
+        with pytest.raises(ValueError, match=match):
+            save_atoms(path, atoms, stride)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        path = tmp_path / "atoms.txt"
+        path.write_text(f"2 2 1 1\n1 {value} 3 4\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_atoms(path)

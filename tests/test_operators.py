@@ -381,21 +381,30 @@ class TestSplineDictionary:
             SplineDictionary((8, 8), 3)  # widest generator has 15 taps
 
 
+def patch_positions(stride, image_shape):
+    """Top-left corners of the patches, in coefficient row order."""
+    rows, cols = image_shape
+    return [(r, c) for r in range(0, rows, stride) for c in range(0, cols, stride)]
+
+
+def patch_overlap_loop(patch_shape, stride, image_shape):
+    """Per-pixel count of the patches covering it, by explicit loops."""
+    rows, cols = image_shape
+    overlap = np.zeros(image_shape)
+    for r0, c0 in patch_positions(stride, image_shape):
+        for i in range(patch_shape[0]):
+            for j in range(patch_shape[1]):
+                overlap[(r0 + i) % rows, (c0 + j) % cols] += 1.0
+    return overlap
+
+
 def patch_dense_matrix(atoms, stride, image_shape):
     """Column for coefficient (p, a): atom a scattered at patch p, divided
     by the overlap count, all built with explicit loops."""
     n_atoms, pr, pc = atoms.shape
     rows, cols = image_shape
-    pos = [
-        (r, c)
-        for r in range(0, rows, stride)
-        for c in range(0, cols, stride)
-    ]
-    overlap = np.zeros(image_shape)
-    for r0, c0 in pos:
-        for i in range(pr):
-            for j in range(pc):
-                overlap[(r0 + i) % rows, (c0 + j) % cols] += 1.0
+    pos = patch_positions(stride, image_shape)
+    overlap = patch_overlap_loop((pr, pc), stride, image_shape)
     mat = np.zeros((rows * cols, len(pos) * n_atoms))
     for p, (r0, c0) in enumerate(pos):
         for a in range(n_atoms):
@@ -407,9 +416,93 @@ def patch_dense_matrix(atoms, stride, image_shape):
     return mat
 
 
+@st.composite
+def patch_cases(draw):
+    """(n_atoms, patch shape, stride, image shape, seed): a grid of 1-4
+    stride blocks each way and patches from one block to the whole image,
+    so square or not, with pr % stride anything."""
+    stride = draw(st.integers(1, 4))
+    rows, cols = (stride * draw(st.integers(1, 4)) for _ in range(2))
+    patch = (draw(st.integers(stride, rows)), draw(st.integers(stride, cols)))
+    return draw(st.integers(1, 3)), patch, stride, (rows, cols), draw(st.integers(0, 2**32 - 1))
+
+
+# Stride 1; pr % s != 0 on both axes; a patch as large as a non-square
+# image; a single atom on one block that is the whole image.
+PATCH_EXAMPLES = [
+    (2, (3, 2), 1, (4, 5), 1),
+    (3, (4, 5), 3, (9, 6), 2),
+    (2, (8, 12), 4, (8, 12), 3),
+    (1, (3, 3), 3, (3, 3), 4),
+]
+
+
+def _with_patch_examples(*rest):
+    def decorate(test):
+        for case in PATCH_EXAMPLES:
+            test = example(case, *rest)(test)
+        return test
+    return decorate
+
+
 class TestPatchDictionary:
     def _atoms(self, rng, n_atoms=8, size=4):
         return rng.random((n_atoms, size, size))
+
+    @settings(max_examples=40, deadline=None)
+    @given(patch_cases())
+    @_with_patch_examples()
+    def test_passes_match_dense_matrix(self, case):
+        n_atoms, patch, stride, shape, seed = case
+        rng = np.random.default_rng(seed)
+        atoms = rng.random((n_atoms, *patch))
+        d = PatchDictionary(atoms, stride, shape)
+        mat = patch_dense_matrix(atoms, stride, shape)
+        c = rng.random(d.coeff_shape)
+        f = rng.random(shape)
+        _close(d.synthesize(c), (mat @ c.ravel()).reshape(shape))
+        _close(d.adjoint(f), (mat.T @ f.ravel()).reshape(d.coeff_shape))
+        lhs, rhs = inner(d.synthesize(c), f), inner(c, d.adjoint(f))
+        assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(patch_cases())
+    @_with_patch_examples()
+    def test_overlap_counts_match_loop(self, case):
+        """Under one flat atom, patch p alone synthesizes 1 / overlap on its
+        footprint, and every pixel lies in some footprint."""
+        _, patch, stride, shape, _ = case
+        d = PatchDictionary(np.ones((1, *patch)), stride, shape)
+        overlap = patch_overlap_loop(patch, stride, shape)
+        seen = np.zeros(shape, dtype=bool)
+        for p in range(d.n_patches):
+            c = np.zeros(d.coeff_shape)
+            c[p] = 1.0
+            out = d.synthesize(c)
+            footprint = out > 0
+            np.testing.assert_array_equal(np.rint(1.0 / out[footprint]), overlap[footprint])
+            seen |= footprint
+        assert seen.all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(patch_cases(), st.integers(0, 2**16))
+    @_with_patch_examples(7)
+    def test_impulse_stays_in_its_footprint(self, case, where):
+        """A one-hot coefficient synthesizes exact zeros off its patch's
+        footprint, and a one-hot pixel reaches only the coefficients of
+        the patches that cover it."""
+        n_atoms, patch, stride, shape, seed = case
+        atoms = np.random.default_rng(seed).random((n_atoms, *patch)) + 0.5
+        d = PatchDictionary(atoms, stride, shape)
+        mat = patch_dense_matrix(atoms, stride, shape)
+        q = where % mat.shape[1]
+        c = np.zeros(d.coeff_shape)
+        c.flat[q] = 1.0
+        _assert_impulse_confined(d.synthesize(c).ravel(), mat[:, q] > 0, 1.0)
+        p = where % mat.shape[0]
+        f = np.zeros(shape)
+        f.flat[p] = 1.0
+        _assert_impulse_confined(d.adjoint(f).ravel(), mat[p] > 0, 1.0)
 
     def test_single_patch_reproduces_atom(self):
         rng = np.random.default_rng(10)

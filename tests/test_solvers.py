@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import IdentityDictionary, gradient_map, identity_kernel, map_objective_weighted
+from helpers import (
+    IdentityDictionary,
+    gradient_map,
+    identity_kernel,
+    map_objective_weighted,
+    weighted_l1,
+)
+from poisson_deconv import solvers
 from poisson_deconv.core import l1_norm, log_inner
 from poisson_deconv.metrics import nmse
 from poisson_deconv.operators import (
@@ -530,27 +537,48 @@ class TestRunSolverMatchesReferenceLoop:
         assert counts == {"synthesize": 26, "blur.forward": 26}
 
 
+SRL_PATHS = ["fused_spline", "haar", "patch"]
+
+
+def _srl_problem(path):
+    """(model, g) on the fused spline, Haar or patch model."""
+    rng = np.random.default_rng(33)
+    if path == "haar":
+        kernel = gaussian_kernel_1d(0.2 * math.pi)
+        model = ForwardModel(kernel, HaarBoxDictionary(128))
+        _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
+    elif path == "patch":
+        kernel = inverse_quadratic_kernel(2)
+        model = ForwardModel(kernel, PatchDictionary(rng.random((4, 4, 4)), 2, (16, 12)))
+        truth = rng.random((16, 12)) * 20.0
+    else:
+        kernel = inverse_quadratic_kernel(2)
+        model = ForwardModel(kernel, SplineDictionary((24, 20), 3))
+        truth = rng.random((24, 20)) * 20.0
+    return model, poisson_sample(conv_forward(kernel, truth), rng)
+
+
+def _recorded_steps(monkeypatch, name):
+    """Outputs of every solvers.<name> call that run_solver makes."""
+    steps = []
+    original = getattr(solvers, name)
+
+    def recorder(*args, **kwargs):
+        steps.append(original(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(solvers, name, recorder)
+    return steps
+
+
 class TestSrlObjectiveMonotone:
     """SRL's update is the exact EM step for the Poisson likelihood plus
     lam * 1'c on c >= 0 (Shepp & Vardi 1982; Lange & Carson 1984), so its
     objective never rises beyond round-off, from the starting point on."""
 
-    @pytest.mark.parametrize("path", ["fused_spline", "haar", "patch"])
+    @pytest.mark.parametrize("path", SRL_PATHS)
     def test_nonincreasing(self, path):
-        rng = np.random.default_rng(33)
-        if path == "haar":
-            kernel = gaussian_kernel_1d(0.2 * math.pi)
-            model = ForwardModel(kernel, HaarBoxDictionary(128))
-            _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
-        elif path == "patch":
-            kernel = inverse_quadratic_kernel(2)
-            model = ForwardModel(kernel, PatchDictionary(rng.random((4, 4, 4)), 2, (16, 12)))
-            truth = rng.random((16, 12)) * 20.0
-        else:
-            kernel = inverse_quadratic_kernel(2)
-            model = ForwardModel(kernel, SplineDictionary((24, 20), 3))
-            truth = rng.random((24, 20)) * 20.0
-        g = poisson_sample(conv_forward(kernel, truth), rng)
+        model, g = _srl_problem(path)
         cfg = SolverConfig(lam=0.1, epsilon_stop=1e-15, max_iters=300)
         res = run_solver("srl", g, model=model, config=cfg)
         assert res.trace.terminated_by == "max_iters"
@@ -558,6 +586,41 @@ class TestSrlObjectiveMonotone:
         rises = np.diff(obj)
         assert np.all(rises <= 1e-12 * np.abs(obj).max()), rises.max()
         assert obj[-1] < obj[0]
+
+
+class TestEveryStepConservesMass:
+    """Identities that bind each step, where a wrong step can still lower
+    the objective: <v + lam, c_{k+1}> = <c_k, A*(g / Ac_k)> = sum g for
+    SRL, and sum f_{k+1} = <Hf_k, g / Hf_k> = sum g for RL, whenever the
+    model is positive wherever g is."""
+
+    @pytest.mark.parametrize("path", SRL_PATHS)
+    def test_srl_weighted_mass(self, path, monkeypatch):
+        model, g = _srl_problem(path)
+        steps = _recorded_steps(monkeypatch, "srl_step")
+        cfg = SolverConfig(lam=0.1, epsilon_stop=1e-15, max_iters=50)
+        assert run_solver("srl", g, model=model, config=cfg).trace.n_iters == 50
+        assert len(steps) == 50
+        for c in steps:
+            mass = weighted_l1(c, model.v + cfg.lam)
+            assert abs(mass - g.sum()) <= 1e-12 * g.sum()
+
+    def test_rl_mass(self, monkeypatch):
+        """On a 2-D image (FourierFilter blur) and an N x 1 column
+        (ColumnFilter blur), over every step of a run to max_iters."""
+        rng = np.random.default_rng(34)
+        cases = [
+            (make_kernel(rng.random((3, 3))), rng.random((12, 12)) * 4.0),
+            (gaussian_kernel_1d(0.2 * math.pi), rng.random((64, 1)) * 4.0),
+        ]
+        cfg = SolverConfig(epsilon_stop=1e-15, max_iters=300)
+        for k, f_true in cases:
+            g = poisson_sample(conv_forward(k, f_true) + 0.5, rng)
+            steps = _recorded_steps(monkeypatch, "rl_step")
+            assert run_solver("rl", g, kernel=k, config=cfg).trace.n_iters == 300
+            assert len(steps) == 300
+            for f in steps:
+                assert abs(f.sum() - g.sum()) <= 1e-12 * g.sum()
 
 
 class TestFusedSplineIteration:
