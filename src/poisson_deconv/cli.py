@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n-trials", type=int, help="number of independent trials")
     run_p.add_argument("--seed", type=int, help="master seed for all trial streams")
     run_p.add_argument("--solver", help="comma list, e.g. rl:oracle,srl")
-    run_p.add_argument("--jobs", type=int, help="trial-level worker processes")
     run_p.add_argument("--out-dir", help="output directory")
     run_p.add_argument(
         "--dump-trials",
@@ -84,7 +83,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "n_trials": args.n_trials,
         "seed": args.seed,
         "solvers": args.solver,
-        "jobs": args.jobs,
         "out_dir": args.out_dir,
         "dump_trials": args.dump_trials,
     }

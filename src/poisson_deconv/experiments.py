@@ -3,13 +3,12 @@
 Configuration is a flat key=value mapping; a preset name fills in every
 default and explicit keys override it. Each trial draws its own random
 stream from (seed, trial index), so a whole experiment is reproducible
-byte-for-byte, including under trial-level parallelism.
+byte-for-byte, and a trial's files do not depend on the trial count.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -122,7 +121,6 @@ class ExperimentConfig:
     signal: str  # sparse1d | image2d
     out_dir: str
     dump_trials: bool
-    jobs: int
     # problem description (unused fields stay at their defaults)
     n: int
     rows: int
@@ -149,13 +147,26 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _value(merged: dict[str, str], key: str, convert=float):
+    """`convert(merged[key])`, failing with an error that names the key and value."""
+    value = merged[key]
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}={value!r}: {exc}") from None
+
+
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(","))
+
+
 def _parse_solvers(merged: dict[str, str]) -> tuple[SolverSpec, ...]:
     base = dict(
-        lam=float(merged["lambda"]),
-        gamma_tv=float(merged["gamma_tv"]),
-        epsilon_stop=float(merged["epsilon_stop"]),
-        eps_div=float(merged["eps_div"]),
-        eps_tv=float(merged["eps_tv"]),
+        lam=_value(merged, "lambda"),
+        gamma_tv=_value(merged, "gamma_tv"),
+        epsilon_stop=_value(merged, "epsilon_stop"),
+        eps_div=_value(merged, "eps_div"),
+        eps_tv=_value(merged, "eps_tv"),
     )
     specs = []
     seen = set()
@@ -176,7 +187,8 @@ def _parse_solvers(merged: dict[str, str]) -> tuple[SolverSpec, ...]:
                 oracle = True
             else:
                 raise ValueError(f"unknown solver flag {flag!r} in {item!r}")
-        iters = int(merged[f"max_iters_{method}"] or merged["max_iters"])
+        iters_key = f"max_iters_{method}" if merged[f"max_iters_{method}"] else "max_iters"
+        iters = _value(merged, iters_key, int)
         specs.append(SolverSpec(method, oracle, SolverConfig(max_iters=iters, **base)))
     if not specs:
         raise ValueError("at least one solver is required")
@@ -205,35 +217,34 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     if dictionary == "patch" and not merged["atoms_file"]:
         raise ValueError("dictionary=patch requires atoms_file=<path>")
 
-    sparsity = (float(merged["sparsity_lo"]), float(merged["sparsity_hi"]))
+    # Trials run in one process; jobs=1 stays valid so configs that set it still load.
+    if _value(merged, "jobs", int) != 1:
+        raise ValueError(f"jobs={merged['jobs']!r}: trials run in one process, so only jobs=1")
     cfg = ExperimentConfig(
         experiment=name,
-        seed=int(merged["seed"]),
-        n_trials=int(merged["n_trials"]),
+        seed=_value(merged, "seed", int),
+        n_trials=_value(merged, "n_trials", int),
         solvers=_parse_solvers(merged),
         signal=signal,
         out_dir=merged["out_dir"],
-        dump_trials=_parse_bool(merged["dump_trials"]),
-        jobs=int(merged["jobs"]),
-        n=int(merged["n"]),
-        rows=int(merged["rows"]),
-        cols=int(merged["cols"]),
+        dump_trials=_value(merged, "dump_trials", _parse_bool),
+        n=_value(merged, "n", int),
+        rows=_value(merged, "rows", int),
+        cols=_value(merged, "cols", int),
         kernel=merged["kernel"],
-        cutoff=float(merged["cutoff"]),
+        cutoff=_value(merged, "cutoff"),
         dictionary=dictionary,
-        haar_levels=tuple(int(v) for v in merged["haar_levels"].split(",")),
-        spline_levels=int(merged["spline_levels"]),
+        haar_levels=_value(merged, "haar_levels", _int_list),
+        spline_levels=_value(merged, "spline_levels", int),
         atoms_file=merged["atoms_file"],
         image_file=merged["image_file"],
-        peak=float(merged["peak"]),
+        peak=_value(merged, "peak"),
         peak_on=merged["peak_on"],
-        snr_db=float(merged["snr_db"]),
-        sparsity=sparsity,
+        snr_db=_value(merged, "snr_db"),
+        sparsity=(_value(merged, "sparsity_lo"), _value(merged, "sparsity_hi")),
     )
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be positive")
-    if cfg.jobs < 1:
-        raise ValueError("jobs must be positive")
     if cfg.peak_on not in ("blurred", "true"):
         raise ValueError("peak_on must be 'blurred' or 'true'")
     if any(s.method == "srl" for s in cfg.solvers) and not dictionary:
@@ -295,8 +306,14 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return Problem(kernel=kernel, model=model, truth=truth, intensity=intensity)
 
 
-def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict:
-    """One seeded trial: synthesize/draw data, run every solver, score it."""
+def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict[str, dict]:
+    """One seeded trial: synthesize/draw data, run every solver, score it.
+
+    With `cfg.dump_trials`, writes the trial's truth and data, then each
+    solver's reconstruction and trace as it finishes, into `cfg.out_dir`.
+    Returns, per solver method, the NMSE, the SSIM (None where the image is
+    narrower than the SSIM window) and the NMSE curve.
+    """
     rng = rng_for_trial(cfg.seed, trial)
     if cfg.signal == "sparse1d":
         _, truth = synth_sparse_signal(
@@ -312,12 +329,11 @@ def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict:
         truth, intensity = problem.truth, problem.intensity
     g = poisson_sample(intensity, rng)
 
-    can_ssim = truth.shape[0] >= SSIM_WINDOW and truth.shape[1] >= SSIM_WINDOW
-    out = {"trial": trial}
     if cfg.dump_trials:
-        out["truth"] = truth
-        out["data"] = g
-    per_solver = {}
+        io.save_matrix_text(os.path.join(cfg.out_dir, f"trial_{trial}_truth.txt"), truth)
+        io.save_matrix_text(os.path.join(cfg.out_dir, f"trial_{trial}_data.txt"), g)
+    can_ssim = truth.shape[0] >= SSIM_WINDOW and truth.shape[1] >= SSIM_WINDOW
+    scores = {}
     for spec in cfg.solvers:
         result = run_solver(
             spec.method,
@@ -328,30 +344,17 @@ def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict:
             ground_truth=truth,
             mode="nmse_optimal" if spec.oracle else "converged",
         )
-        entry = {
+        if cfg.dump_trials:
+            io.save_pgm(
+                os.path.join(cfg.out_dir, f"recon_{spec.method}_{trial}.pgm"), result.estimate
+            )
+            result.trace.write_csv(os.path.join(cfg.out_dir, f"trace_{spec.method}_{trial}.csv"))
+        scores[spec.method] = {
             "nmse": nmse(truth, result.estimate),
             "ssim": ssim(truth, result.estimate) if can_ssim else None,
-            "trace_nmse": list(result.trace.nmse),
+            "trace_nmse": result.trace.nmse,
         }
-        if cfg.dump_trials:
-            entry["estimate"] = result.estimate
-            entry["trace"] = result.trace
-        per_solver[spec.method] = entry
-    out["solvers"] = per_solver
-    return out
-
-
-_WORKER: tuple[Problem, ExperimentConfig] | None = None
-
-
-def _init_worker(cfg: ExperimentConfig) -> None:
-    global _WORKER
-    _WORKER = (build_problem(cfg), cfg)
-
-
-def _run_worker(trial: int) -> dict:
-    problem, cfg = _WORKER
-    return run_trial(problem, cfg, trial)
+    return scores
 
 
 def _padded_columns(traces: list[list[float]]) -> np.ndarray:
@@ -369,19 +372,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricReport]:
     """Run all trials, write metrics.csv plus per-solver trace CSVs, and
     return the aggregated per-solver reports (in config order)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if cfg.jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
-            results = pool.map(_run_worker, range(cfg.n_trials))
-    else:
-        problem = build_problem(cfg)
-        results = [run_trial(problem, cfg, t) for t in range(cfg.n_trials)]
-    results.sort(key=lambda r: r["trial"])
+    problem = build_problem(cfg)
+    results = [run_trial(problem, cfg, t) for t in range(cfg.n_trials)]
 
     reports = []
     for spec in cfg.solvers:
         label = spec.method
-        entries = [r["solvers"][spec.method] for r in results]
+        entries = [r[spec.method] for r in results]
         nmse_mean, nmse_err = average_trials([e["nmse"] for e in entries])
         ssims = [e["ssim"] for e in entries if e["ssim"] is not None]
         if ssims:
@@ -416,18 +413,4 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricReport]:
         for report in reports:
             fh.write(report.csv_row() + "\n")
 
-    if cfg.dump_trials:
-        for r in results:
-            t = r["trial"]
-            io.save_matrix_text(os.path.join(cfg.out_dir, f"trial_{t}_truth.txt"), r["truth"])
-            io.save_matrix_text(os.path.join(cfg.out_dir, f"trial_{t}_data.txt"), r["data"])
-            for spec in cfg.solvers:
-                entry = r["solvers"][spec.method]
-                io.save_pgm(
-                    os.path.join(cfg.out_dir, f"recon_{spec.method}_{t}.pgm"),
-                    entry["estimate"],
-                )
-                entry["trace"].write_csv(
-                    os.path.join(cfg.out_dir, f"trace_{spec.method}_{t}.csv")
-                )
     return reports

@@ -52,6 +52,11 @@ class SolverConfig:
     eps_tv: float = 1e-8
 
     def __post_init__(self):
+        for name in ("lam", "gamma_tv", "eps_div", "eps_tv"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.lam < 0 or self.gamma_tv < 0:
             raise ValueError("regularization weights must be nonnegative")
         if not 0.0 < self.epsilon_stop < 1.0:

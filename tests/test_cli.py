@@ -123,6 +123,30 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["haar_levels=", "haar_levels=2,x", "seed=abc", "lambda=abc", "max_iters_srl=2.5",
+                 "n_trials=", "dump_trials=maybe", "jobs=two"],
+    )
+    def test_bad_number_names_its_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\n{line}\n")
+        assert main(["run", str(cfg)]) == 1
+        key, value = line.split("=")
+        assert f"error: {key}={value!r}: " in capsys.readouterr().err
+
+    def test_nan_lambda_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\nlambda=nan\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "error: lam must be finite" in capsys.readouterr().err
+
+    def test_jobs_flag_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "oned_high", "--jobs", "2", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_lambda_override(self, tmp_path):
         main(
             ["run", "oned_high", "--n-trials", "1", "--seed", "5",

@@ -347,6 +347,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps_div=0.0)
 
+    @pytest.mark.parametrize("field", ["lam", "gamma_tv", "eps_div", "eps_tv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 20.0, "20"])
+    def test_non_integer_max_iters_rejected(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=value)
+        assert SolverConfig(max_iters=np.int64(20)).max_iters == 20
+
 
 class TestRunSolver:
     def test_noiseless_identity_converges_immediately(self):
