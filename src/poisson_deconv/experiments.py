@@ -156,10 +156,6 @@ def _value(merged: dict[str, str], key: str, convert=float):
         raise ValueError(f"{key}={value!r}: {exc}") from None
 
 
-def _int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(","))
-
-
 def _parse_solvers(merged: dict[str, str]) -> tuple[SolverSpec, ...]:
     base = dict(
         lam=_value(merged, "lambda"),
@@ -234,7 +230,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         kernel=merged["kernel"],
         cutoff=_value(merged, "cutoff"),
         dictionary=dictionary,
-        haar_levels=_value(merged, "haar_levels", _int_list),
+        haar_levels=_value(merged, "haar_levels", lambda v: tuple(map(int, v.split(",")))),
         spline_levels=_value(merged, "spline_levels", int),
         atoms_file=merged["atoms_file"],
         image_file=merged["image_file"],
@@ -329,10 +325,10 @@ def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict[str, 
         truth, intensity = problem.truth, problem.intensity
     g = poisson_sample(intensity, rng)
 
+    can_ssim = truth.shape[0] >= SSIM_WINDOW and truth.shape[1] >= SSIM_WINDOW
     if cfg.dump_trials:
         io.save_matrix_text(os.path.join(cfg.out_dir, f"trial_{trial}_truth.txt"), truth)
         io.save_matrix_text(os.path.join(cfg.out_dir, f"trial_{trial}_data.txt"), g)
-    can_ssim = truth.shape[0] >= SSIM_WINDOW and truth.shape[1] >= SSIM_WINDOW
     scores = {}
     for spec in cfg.solvers:
         result = run_solver(

@@ -127,7 +127,7 @@ class TestRun:
         "line", ["haar_levels=", "haar_levels=2,x", "seed=abc", "lambda=abc", "max_iters_srl=2.5",
                  "n_trials=", "dump_trials=maybe", "jobs=two"],
     )
-    def test_bad_number_names_its_key(self, tmp_path, capsys, line):
+    def test_bad_value_names_its_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\n{line}\n")
         assert main(["run", str(cfg)]) == 1
