@@ -156,6 +156,20 @@ def _value(merged: dict[str, str], key: str, convert=float):
         raise ValueError(f"{key}={value!r}: {exc}") from None
 
 
+def _finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _positive(value: str) -> float:
+    number = _finite(value)
+    if number <= 0:
+        raise ValueError("must be positive")
+    return number
+
+
 def _parse_solvers(merged: dict[str, str]) -> tuple[SolverSpec, ...]:
     base = dict(
         lam=_value(merged, "lambda"),
@@ -228,16 +242,16 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         rows=_value(merged, "rows", int),
         cols=_value(merged, "cols", int),
         kernel=merged["kernel"],
-        cutoff=_value(merged, "cutoff"),
+        cutoff=_value(merged, "cutoff", _finite),
         dictionary=dictionary,
         haar_levels=_value(merged, "haar_levels", lambda v: tuple(map(int, v.split(",")))),
         spline_levels=_value(merged, "spline_levels", int),
         atoms_file=merged["atoms_file"],
         image_file=merged["image_file"],
-        peak=_value(merged, "peak"),
+        peak=_value(merged, "peak", _positive),
         peak_on=merged["peak_on"],
-        snr_db=_value(merged, "snr_db"),
-        sparsity=(_value(merged, "sparsity_lo"), _value(merged, "sparsity_hi")),
+        snr_db=_value(merged, "snr_db", _finite),
+        sparsity=(_value(merged, "sparsity_lo", _finite), _value(merged, "sparsity_hi", _finite)),
     )
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be positive")

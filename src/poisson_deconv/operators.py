@@ -35,10 +35,13 @@ width 2w is two boxes of width w, w apart (HaarBoxDictionary). The patch
 dictionary, which no DFT diagonalizes, is shift-invariant on its grid of
 stride x stride blocks: each pass is a few dense matmuls of the
 coefficients or image blocks with the atoms' blocks, plus slice adds
-(PatchDictionary). The only direct convolutions here are conv_forward
-and conv_adjoint. The data path (simulate) uses them, the Haar running
-sums and its own direct spline synthesis, never an FFT, so it keeps exact
-zeros.
+(PatchDictionary). The direct convolutions, conv_forward, conv_adjoint
+and the 1-D passes of the data path's spline synthesis, are numpy
+shift-and-add loops over one circularly padded, flattened copy: one
+scaled contiguous slice per tap, summed in scipy.ndimage's order, so
+every output byte is what ndimage gives (numpy is the only runtime
+dependency). The data path (simulate) uses them and the Haar running
+sums, never an FFT, so it keeps exact zeros.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 _NORM_TOL = 1e-12
+_EPS = np.finfo(np.float64).eps  # C's DBL_EPSILON, ndimage's footprint threshold
 
 
 @dataclass(frozen=True)
@@ -121,18 +124,81 @@ def _check_fits(kernel: ConvKernel, x: np.ndarray) -> None:
         )
 
 
+def _wrap_padded(x: np.ndarray, hr: int, hc: int) -> tuple[np.ndarray, int]:
+    """`x` extended circularly by hr rows and hc columns on each side, as one
+    flat array, and its row width: window tap (a, b) of output (i, j) is
+    entry (i * width + j) + (a * width + b), so each tap reads one slice."""
+    rows, cols = x.shape
+    if hr:  # one take per padded axis: a 2-D fancy index cost 3-10 times more
+        x = x.take(np.arange(-hr, rows + hr) % rows, axis=0)
+    if hc:
+        x = x.take(np.arange(-hc, cols + hc) % cols, axis=1)
+    return x.ravel(), cols + 2 * hc
+
+
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """ndimage.correlate(x, w, mode="wrap") bit for bit, for an odd-sized w.
+
+    As ndimage sums: from 0, one product per tap in raster order, taps at
+    or below DBL_EPSILON left out. Each tap scales one contiguous slice of
+    the padded rows; the pad columns are dropped at the end.
+    """
+    rows, cols = x.shape
+    kr, kc = w.shape
+    flat, width = _wrap_padded(x, kr // 2, kc // 2)
+    n = rows * width - (kc - 1)  # the last row's pad columns need no sum
+    kept = np.flatnonzero(np.abs(w) > _EPS)
+    out = np.zeros(rows * width)
+    acc, tmp = out[:n], np.empty(n)
+    for off, t in zip((kept // kc * width + kept % kc).tolist(), w.ravel()[kept].tolist()):
+        np.multiply(flat[off : off + n], t, out=tmp)
+        acc += tmp
+    return np.ascontiguousarray(out.reshape(rows, width)[:, :cols])
+
+
+def _correlate1d(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """ndimage.correlate1d(x, w, axis, mode="wrap") bit for bit, for a 2-D x
+    and odd-length nonnegative w, in ndimage's branch order.
+
+    Weights symmetric to DBL_EPSILON sum the centre product, then each
+    pair's sum times its left weight, farthest pair first; other weights
+    sum the last product, then the rest in order. (ndimage's antisymmetric
+    branch needs a negative weight.) The layout is _correlate's.
+    """
+    rows, cols = x.shape
+    h = len(w) // 2
+    flat, width = _wrap_padded(x, h if axis == 0 else 0, h if axis == 1 else 0)
+    step = width if axis == 0 else 1
+    n = rows * width - (width - cols)
+    out = np.empty(rows * width)
+    acc, tmp = out[:n], np.empty(n)
+    tap = lambda k: flat[k * step : k * step + n]
+    if all(abs(w[h + k] - w[h - k]) <= _EPS for k in range(1, h + 1)):
+        np.multiply(tap(h), w[h], out=acc)
+        for k in range(h):
+            np.add(tap(k), tap(2 * h - k), out=tmp)
+            tmp *= w[k]
+            acc += tmp
+    else:
+        np.multiply(tap(2 * h), w[2 * h], out=acc)
+        for k in range(2 * h):
+            np.multiply(tap(k), w[k], out=tmp)
+            acc += tmp
+    return np.ascontiguousarray(out.reshape(rows, width)[:, :cols])
+
+
 def conv_forward(kernel: ConvKernel, x: np.ndarray) -> np.ndarray:
     """Circular convolution of `x` with the kernel (centered taps)."""
     x = np.asarray(x, dtype=np.float64)
     _check_fits(kernel, x)
-    return ndimage.convolve(x, kernel.taps, mode="wrap")
+    return _correlate(x, kernel.taps[::-1, ::-1])
 
 
 def conv_adjoint(kernel: ConvKernel, y: np.ndarray) -> np.ndarray:
     """Adjoint of conv_forward: convolution with the spatially reversed taps."""
     y = np.asarray(y, dtype=np.float64)
     _check_fits(kernel, y)
-    return ndimage.correlate(y, kernel.taps, mode="wrap")
+    return _correlate(y, kernel.taps)
 
 
 def _checked(x, shape) -> np.ndarray:
@@ -258,7 +324,7 @@ class ColumnFilter:
     gather and a dot product over a precomputed table of wrapped indices.
 
     forward and adjoint match conv_forward and conv_adjoint to rounding. As
-    in ndimage, taps at or below machine epsilon are left out, so every
+    there, taps at or below machine epsilon are left out, so every
     output sums only the products inside its own footprint: exact zeros
     stay exact and a non-finite entry spreads no further.
     """
@@ -271,7 +337,7 @@ class ColumnFilter:
         self.image_shape = (rows, 1)
         # conv_forward sums taps[t] x[i + s] with shift s = half - t, and
         # conv_adjoint the same with -s.
-        kept = np.flatnonzero(np.abs(taps) > np.finfo(np.float64).eps)
+        kept = np.flatnonzero(np.abs(taps) > _EPS)
         reach = taps.size // 2
         table = _shift_table(rows, reach)
         self._taps = taps[kept]

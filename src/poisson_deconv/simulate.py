@@ -10,9 +10,8 @@ whole experiment is a pure function of (spec, seed).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
-from .operators import ConvKernel, SplineDictionary, conv_forward, spline_generators
+from .operators import ConvKernel, SplineDictionary, _correlate1d, conv_forward, spline_generators
 
 
 def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
@@ -86,11 +85,13 @@ def _spline_synthesis(c: np.ndarray, generators) -> np.ndarray:
     """SplineDictionary synthesis on the data path, as direct separable
     passes (plane j convolved with b_j along rows, then columns, summed
     over the planes): an FFT would leave round-off where the signal is
-    exactly 0, and the Poisson sampler draws differently there."""
+    exactly 0, and the Poisson sampler draws differently there. Each pass
+    is a correlation with the reversed generator, summed in the order of
+    ndimage.convolve1d, so the phantom keeps its bytes."""
     img = np.zeros(c.shape[1:])
     for plane, b in zip(c, generators):
-        tmp = ndimage.convolve1d(plane, b, axis=0, mode="wrap")
-        img += ndimage.convolve1d(tmp, b, axis=1, mode="wrap")
+        tmp = _correlate1d(plane, b[::-1], axis=0)
+        img += _correlate1d(tmp, b[::-1], axis=1)
     return img
 
 

@@ -125,7 +125,9 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "line", ["haar_levels=", "haar_levels=2,x", "seed=abc", "lambda=abc", "max_iters_srl=2.5",
-                 "n_trials=", "dump_trials=maybe", "jobs=two"],
+                 "n_trials=", "dump_trials=maybe", "jobs=two", "peak=inf", "peak=nan", "peak=0",
+                 "peak=-3", "snr_db=nan", "snr_db=inf", "snr_db=-inf", "cutoff=nan",
+                 "sparsity_lo=nan", "sparsity_hi=inf"],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"

@@ -4,6 +4,9 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from poisson_deconv.experiments import (
     parse_config_text,
     run_experiment,
 )
+import poisson_deconv
 from poisson_deconv.io import load_atoms, load_matrix_text, load_pgm, save_atoms
 
 
@@ -333,3 +337,30 @@ class TestBuildProblem:
         problem = build_problem(cfg)
         assert problem.truth is None
         assert problem.model is not None
+
+
+def test_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with every scipy import made to fail,
+    the package imports and runs a 1-D and a 2-D experiment."""
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from poisson_deconv.experiments import build_config, run_experiment
+        out = sys.argv[1]
+        run_experiment(build_config({"experiment": "oned_high", "n_trials": "2",
+                                     "max_iters": "20", "out_dir": out + "/oned"}))
+        run_experiment(build_config({"experiment": "twod_splines", "n_trials": "1",
+                                     "rows": "32", "cols": "32", "max_iters": "5",
+                                     "out_dir": out + "/twod"}))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(poisson_deconv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("oned", "twod"):
+        assert (tmp_path / name / "metrics.csv").stat().st_size > 0

@@ -28,6 +28,7 @@ from poisson_deconv.operators import (
     HaarBoxDictionary,
     PatchDictionary,
     SplineDictionary,
+    _correlate1d,
     blur_operator,
     conv_adjoint,
     conv_forward,
@@ -845,6 +846,86 @@ class TestColumnFilter:
             ColumnFilter(np.ones((3, 1)), (8, 2))
         with pytest.raises(ValueError, match="does not match"):
             ColumnFilter(np.ones((3, 1)), (8, 1)).forward(np.ones(8))
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def direct_cases(draw):
+    """An image of 1-40 x 1-40 (N x 1 included) with negative entries and
+    signed zeros, and an odd kernel up to the image's size whose taps mix
+    ordinary values, exact zeros, taps at or below DBL_EPSILON (which
+    ndimage leaves out) and taps just above it (which it keeps)."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kr = draw(st.integers(0, (rows - 1) // 2)) * 2 + 1
+    kc = draw(st.integers(0, (cols - 1) // 2)) * 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = np.array([0.0, _EPS / 2, _EPS, np.nextafter(_EPS, 1.0)])
+    taps = np.where(rng.random((kr, kc)) < 0.3, rng.choice(special, (kr, kc)), rng.random((kr, kc)))
+    x = rng.standard_normal((rows, cols))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return taps, x
+
+
+@st.composite
+def correlate1d_cases(draw):
+    """An image of 1-40 x 1-40, and odd nonnegative weights, possibly longer
+    than the image, that are symmetric, one ulp off symmetric (where
+    ndimage still takes its symmetric branch) or asymmetric."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    length = draw(st.integers(0, 20)) * 2 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(length)
+    kind = draw(st.sampled_from(["symmetric", "one ulp off", "asymmetric"]))
+    if kind != "asymmetric":
+        w = (w + w[::-1]) / 2.0
+    if kind == "one ulp off":
+        k = draw(st.integers(0, length - 1))
+        w[k] = np.nextafter(w[k], 2.0)
+    x = rng.standard_normal((rows, cols))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return w, x
+
+
+def _same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestDirectPassesMatchNdimage:
+    """The numpy direct passes sum in ndimage's order, so every byte, signed
+    zeros included, is ndimage's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(direct_cases())
+    @example((np.arange(1.0, 10.0).reshape(3, 3), np.arange(-4.5, 4.0).reshape(3, 3)))
+    @example((np.full((5, 1), _EPS), -np.zeros((5, 1))))
+    def test_conv_forward_and_adjoint(self, case):
+        taps, x = case
+        kernel = ConvKernel(taps)
+        _same_bytes(conv_forward(kernel, x), ndimage.convolve(x, taps, mode="wrap"))
+        _same_bytes(conv_adjoint(kernel, x), ndimage.correlate(x, taps, mode="wrap"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(direct_cases(), st.integers(0, 2**16))
+    def test_inf_impulse_stays_in_its_footprint(self, case, where):
+        taps, x = case
+        kernel = ConvKernel(taps)
+        impulse = np.zeros(x.shape)
+        impulse.flat[where % x.size] = 1.0
+        for direct, oracle in ((conv_forward, ndimage.convolve), (conv_adjoint, ndimage.correlate)):
+            footprint = oracle(impulse, taps, mode="wrap") > 0.0
+            out = direct(kernel, np.where(impulse > 0.0, np.inf, 0.0))
+            _same_bytes(out, oracle(np.where(impulse > 0.0, np.inf, 0.0), taps, mode="wrap"))
+            assert np.all(out[~footprint] == 0.0) and np.all(np.isposinf(out[footprint]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(correlate1d_cases(), st.sampled_from([0, 1]))
+    def test_correlate1d(self, case, axis):
+        w, x = case
+        _same_bytes(_correlate1d(x, w, axis), ndimage.correlate1d(x, w, axis=axis, mode="wrap"))
 
 
 class TestDataPathKeepsExactZeros:
