@@ -6,14 +6,46 @@ coefficients keep whatever shape their dictionary defines (flat vector,
 per-level planes, or per-patch rows) and the helpers here are
 shape-agnostic. Everything is treated as an immutable value: no function
 in this module mutates its arguments.
+
+Importing the package fixes glibc malloc's mmap and trim thresholds for
+the process (see _steady_heap), so the solver loops run at one speed
+whatever the process allocated before them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Callable
 
 import numpy as np
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
+
+
+def _steady_heap() -> None:
+    """Pin glibc's mmap threshold at its dynamic cap (32 MiB) and the trim
+    threshold at twice that, where glibc's own rule ends up once the
+    process has freed a 32 MiB block.
+
+    From their start values (128 KiB each) glibc maps every larger
+    request afresh and trims the heap top, raising both only after the
+    process frees a larger mapped block. The solver loops allocate and
+    free several arrays of 128 KiB or more per iteration, so their speed
+    hung on the largest array freed before them: a 128^2 spline SRL solve
+    took up to 68,000 minor page faults and about 1.2x the time when
+    nothing large had been freed, and 15 faults after a 7.1 MiB free. Other
+    C libraries (musl, macOS) have no such thresholds and are left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_steady_heap()
 
 #: Floor substituted for an exactly-zero denominator in pointwise ratios.
 #: Zero numerators still map to zero, so 0/0 -> 0 and x/0 -> x/EPS_DIV.

@@ -5,6 +5,16 @@ norm of the truth. SSIM is the standard structural similarity index over
 8x8 uniform sliding windows with stabilization constants tied to the
 shared dynamic range of the two images (the reported parameters are
 echoed in the metrics CSV header so results stay comparable).
+
+SSIM's window means are separable sums that add in the order numpy's
+pairwise `mean(axis=(2, 3))` over a `sliding_window_view` stack does, so
+the scores are those of that stack bit for bit: along each row, three
+dyadic doublings p[:, :-w] + p[:, w:] for w = 1, 2, 4 (numpy's 8-way
+tree ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7))); down the columns, the 8 row
+results in order; then a division by 64. An image exactly 8 wide is one
+contiguous run of 64 values per window, which numpy sums with 8 strided
+accumulators: the columns first, then the row tree. A call holds about 8
+image-sized arrays, where the stack took 64 image copies per moment.
 """
 
 from __future__ import annotations
@@ -14,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import require_same_shape
 
@@ -47,8 +56,29 @@ def nmse_against(f_true) -> Callable[[np.ndarray], float]:
     return error
 
 
-def ssim(f_true, f_hat, window: int = SSIM_WINDOW) -> float:
-    """Mean local structural similarity over square sliding windows.
+def _window_means(x: np.ndarray) -> np.ndarray:
+    """Means over every 8x8 window of x, (rows - 7, cols - 7), summed as
+    the module docstring sets out."""
+    n = x.shape[0] - SSIM_WINDOW + 1
+
+    def down(p):
+        s = p[:n].copy()
+        for k in range(1, SSIM_WINDOW):
+            s += p[k : k + n]
+        return s
+
+    def across(p):
+        for w in (1, 2, 4):
+            p = p[:, :-w] + p[:, w:]
+        return p
+
+    s = across(down(x)) if x.shape[1] == SSIM_WINDOW else down(across(x))
+    s /= SSIM_WINDOW * SSIM_WINDOW
+    return s
+
+
+def ssim(f_true, f_hat) -> float:
+    """Mean local structural similarity over 8x8 sliding windows.
 
     Local means, variances, and covariance are moment estimates over each
     window; the constants are C1 = (K1 L)^2 and C2 = (K2 L)^2 with L the
@@ -58,20 +88,20 @@ def ssim(f_true, f_hat, window: int = SSIM_WINDOW) -> float:
     a = np.asarray(f_true, dtype=np.float64)
     b = np.asarray(f_hat, dtype=np.float64)
     require_same_shape(a, b)
-    if a.shape[0] < window or a.shape[1] < window:
-        raise ValueError(f"image {a.shape} smaller than the {window}x{window} window")
+    if a.ndim != 2:
+        raise ValueError(f"ssim needs 2-D images, got ndim={a.ndim}")
+    if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
+        raise ValueError(f"image {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
     peak = max(float(a.max()), float(b.max()))
     if peak <= 0.0:
         return 1.0
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
-    wa = sliding_window_view(a, (window, window))
-    wb = sliding_window_view(b, (window, window))
-    mu_a = wa.mean(axis=(2, 3))
-    mu_b = wb.mean(axis=(2, 3))
-    var_a = (wa * wa).mean(axis=(2, 3)) - mu_a * mu_a
-    var_b = (wb * wb).mean(axis=(2, 3)) - mu_b * mu_b
-    cov = (wa * wb).mean(axis=(2, 3)) - mu_a * mu_b
+    mu_a = _window_means(a)
+    mu_b = _window_means(b)
+    var_a = _window_means(a * a) - mu_a * mu_a
+    var_b = _window_means(b * b) - mu_b * mu_b
+    cov = _window_means(a * b) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

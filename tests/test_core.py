@@ -1,10 +1,17 @@
-"""Elementwise algebra, division/log policies, and inner products."""
+"""Elementwise algebra, division/log policies, inner products, and the
+process's heap policy."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import poisson_deconv
 from helpers import inner, weighted_l1
 from poisson_deconv.core import (
     EPS_DIV,
@@ -135,3 +142,35 @@ class TestAsImage:
     def test_3d_rejected(self):
         with pytest.raises(ValueError):
             as_image(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.skipif(
+    not hasattr(ctypes.CDLL(None), "mallopt"), reason="glibc malloc thresholds only"
+)
+def test_freed_half_mib_arrays_reuse_heap_pages():
+    """In a fresh interpreter that imports the package, rounds that allocate
+    and free six 512 KiB arrays (a 128^2 spline SRL iteration's temporaries)
+    reuse the same heap pages: with glibc's start thresholds each round
+    maps or regrows them and faults them in again."""
+    script = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        import poisson_deconv
+        def round_():
+            arrays = [np.ones(1 << 16) for _ in range(6)]
+            del arrays
+        round_()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            round_()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(poisson_deconv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100, f"{done.stdout.strip()} minor faults over 20 rounds"

@@ -1,7 +1,12 @@
 """NMSE, SSIM, and trial averaging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import ssim_window_stack
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poisson_deconv.metrics import MetricReport, average_trials, nmse, ssim
 
@@ -71,8 +76,67 @@ class TestSsim:
         with pytest.raises(ValueError):
             ssim(np.ones((4, 4)), np.ones((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(64,), (9, 9, 9)])
+    def test_non_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            ssim(np.ones(shape), np.ones(shape))
+
     def test_all_zero_pair(self):
         assert ssim(np.zeros((16, 16)), np.zeros((16, 16))) == 1.0
+
+
+@st.composite
+def ssim_pairs(draw):
+    """Two images of 8-60 x 8-60, exactly 8 wide or high half the time
+    each way, each random with values spread over 1e-3..1e4, random with
+    many exact zeros, constant, or all zero."""
+    rows = draw(st.one_of(st.just(8), st.integers(8, 60)))
+    cols = draw(st.one_of(st.just(8), st.integers(8, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def image(kind):
+        if kind == "zero":
+            return np.zeros((rows, cols))
+        if kind == "constant":
+            return np.full((rows, cols), 10.0 ** rng.uniform(-3, 4))
+        x = rng.random((rows, cols)) * 10.0 ** rng.uniform(-3, 4, (rows, cols))
+        if kind == "sparse":
+            x[rng.random(x.shape) < 0.6] = 0.0
+        return x
+
+    kinds = st.sampled_from(["random", "sparse", "constant", "zero"])
+    return image(draw(kinds)), image(draw(kinds))
+
+
+def _random_pair(rows, cols, seed=0):
+    return tuple(np.random.default_rng(seed).random((2, rows, cols)) * 100.0)
+
+
+class TestSsimWindowSums:
+    """metrics.ssim adds in the order of numpy's mean over a stack of
+    sliding windows, so its score is the stack's to the last bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ssim_pairs())
+    @example(_random_pair(8, 8))
+    @example(_random_pair(8, 60))
+    @example(_random_pair(60, 8))
+    @example((np.zeros((9, 8)), np.full((9, 8), 3.0)))
+    def test_matches_window_stack_bitwise(self, pair):
+        a, b = pair
+        assert ssim(a, b).hex() == ssim_window_stack(a, b).hex()
+
+    def test_256_call_peaks_below_6_mib(self):
+        """About 8 image-sized arrays (0.5 MiB each), where a window stack
+        holds 64 copies of the image per moment (32.6 MiB traced)."""
+        a, b = _random_pair(256, 256, seed=9)
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestAverageTrials:

@@ -7,6 +7,12 @@ change that only moves last printed digits (a reordered sum, say) fails
 the digest test alone and shows as one digest update, while any larger
 change fails both.
 
+The data path ahead of any Poisson draw is pinned to the last bit under
+`data_path`: SHA-256 digests of the raw little-endian float64 bytes of
+the phantom, its 2-D blur and a column blur, and `float.hex` of the
+phantom's SSIM against its blur. Printed outputs round those arrays
+away, so a reordered sum in the blur shows only here.
+
 After an intended output change, rewrite the pins with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
@@ -25,6 +31,9 @@ import pytest
 
 from poisson_deconv.experiments import build_config, run_experiment
 from poisson_deconv.io import save_atoms
+from poisson_deconv.metrics import ssim
+from poisson_deconv.operators import conv_forward, gaussian_kernel_1d, inverse_quadratic_kernel
+from poisson_deconv.simulate import make_phantom
 
 PINS = os.path.join(os.path.dirname(__file__), "data", "pinned_outputs.json")
 
@@ -97,10 +106,28 @@ def pin_directory(out_dir, values: dict) -> dict:
     return digests
 
 
+def _array_digest(x) -> str:
+    return hashlib.sha256(np.asarray(x, dtype="<f8").tobytes()).hexdigest()
+
+
+def data_path_pins() -> dict:
+    phantom = make_phantom(64, 64)
+    blurred = conv_forward(inverse_quadratic_kernel(), phantom)
+    column = np.random.default_rng(5).random((128, 1)) * 64.0
+    return {
+        "make_phantom_64x64": _array_digest(phantom),
+        "conv_forward_inverse_quadratic_64x64": _array_digest(blurred),
+        "conv_forward_gaussian_128x1": _array_digest(
+            conv_forward(gaussian_kernel_1d(0.2 * math.pi), column)
+        ),
+        "ssim_phantom_blurred_hex": ssim(phantom, blurred).hex(),
+    }
+
+
 def make_pins(root) -> dict:
     values = {}
     files = {name: pin_directory(write_outputs(root, name), values) for name in CONFIGS}
-    return {"files": files, "values": values}
+    return {"files": files, "data_path": data_path_pins(), "values": values}
 
 
 def _same(a, b) -> bool:
@@ -118,6 +145,10 @@ def pinned():
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return make_pins(str(tmp_path_factory.mktemp("pinned")))
+
+
+def test_data_path_matches_to_the_last_bit(pinned):
+    assert data_path_pins() == pinned["data_path"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -152,4 +183,5 @@ if __name__ == "__main__":
             for h, v in sorted(pins["values"].items())]
     with open(PINS, "w") as fh:
         fh.write('{"files": ' + json.dumps(pins["files"], indent=1, sort_keys=True))
+        fh.write(',\n"data_path": ' + json.dumps(pins["data_path"], indent=1, sort_keys=True))
         fh.write(',\n"values": {\n' + ",\n".join(rows) + "\n}}\n")

@@ -249,6 +249,27 @@ class TestGradient:
         assert abs(penalty[1, 1, 1] - lam) < 1e-12
 
 
+SRL_PATHS = ["fused_spline", "haar", "patch"]
+
+
+def _srl_problem(path):
+    """(model, g) on the fused spline, Haar or patch model."""
+    rng = np.random.default_rng(33)
+    if path == "haar":
+        kernel = gaussian_kernel_1d(0.2 * math.pi)
+        model = ForwardModel(kernel, HaarBoxDictionary(128))
+        _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
+    elif path == "patch":
+        kernel = inverse_quadratic_kernel(2)
+        model = ForwardModel(kernel, PatchDictionary(rng.random((4, 4, 4)), 2, (16, 12)))
+        truth = rng.random((16, 12)) * 20.0
+    else:
+        kernel = inverse_quadratic_kernel(2)
+        model = ForwardModel(kernel, SplineDictionary((24, 20), 3))
+        truth = rng.random((24, 20)) * 20.0
+    return model, poisson_sample(conv_forward(kernel, truth), rng)
+
+
 class TestSrlStep:
     def test_hand_computed_two_coefficient_update(self):
         """2x1 image, delta kernel, identity synthesis, g=[3,1], c=[1,1],
@@ -269,18 +290,17 @@ class TestSrlStep:
         rl = rl_step(g, identity_kernel(), c)
         np.testing.assert_allclose(srl, rl, rtol=1e-14, atol=0)
 
-    def test_zero_coefficients_frozen_bitwise(self):
+    @pytest.mark.parametrize("path", SRL_PATHS)
+    def test_zero_coefficients_frozen_bitwise(self, path):
+        model, g = _srl_problem(path)
         rng = np.random.default_rng(14)
-        model = ForwardModel(
-            make_kernel(rng.random(5)), HaarBoxDictionary(32, (1, 2, 3))
-        )
-        g = rng.random((32, 1)) * 6.0
-        c = rng.random(model.coeff_shape)
-        dead = rng.choice(c.size, size=20, replace=False)
+        c = rng.random(model.coeff_shape).ravel()
+        dead = rng.choice(c.size, size=c.size // 4, replace=False)
         c[dead] = 0.0
+        c = c.reshape(model.coeff_shape)
         for _ in range(50):
             c = srl_step(g, model, c, 0.2)
-            assert np.all(c[dead] == 0.0)
+            assert np.all(c.ravel()[dead] == 0.0)
             assert np.all(c >= 0.0)
 
 
@@ -547,27 +567,6 @@ class TestRunSolverMatchesReferenceLoop:
         )
         assert res.trace.n_iters == 25 and len(res.trace.objective) == 25
         assert counts == {"synthesize": 26, "blur.forward": 26}
-
-
-SRL_PATHS = ["fused_spline", "haar", "patch"]
-
-
-def _srl_problem(path):
-    """(model, g) on the fused spline, Haar or patch model."""
-    rng = np.random.default_rng(33)
-    if path == "haar":
-        kernel = gaussian_kernel_1d(0.2 * math.pi)
-        model = ForwardModel(kernel, HaarBoxDictionary(128))
-        _, truth = synth_sparse_signal(model.dictionary, kernel, 64.0, rng)
-    elif path == "patch":
-        kernel = inverse_quadratic_kernel(2)
-        model = ForwardModel(kernel, PatchDictionary(rng.random((4, 4, 4)), 2, (16, 12)))
-        truth = rng.random((16, 12)) * 20.0
-    else:
-        kernel = inverse_quadratic_kernel(2)
-        model = ForwardModel(kernel, SplineDictionary((24, 20), 3))
-        truth = rng.random((24, 20)) * 20.0
-    return model, poisson_sample(conv_forward(kernel, truth), rng)
 
 
 def _recorded_steps(monkeypatch, name):
