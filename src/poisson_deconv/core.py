@@ -122,10 +122,12 @@ def log_inner_with(g: np.ndarray) -> Callable[[np.ndarray], float]:
     weights = g[mask]
 
     def inner(x: np.ndarray) -> float:
-        x = x[mask]
+        x = x[mask]  # a copy, so the log and the product below can go in place
         if (x <= 0.0).any():
             return -math.inf
-        return float((weights * np.log(x)).sum())
+        x = np.log(x, out=x)
+        x *= weights
+        return float(x.sum())
 
     return inner
 

@@ -627,6 +627,7 @@ class PatchDictionary:
         s = self.stride
         ext = np.empty((nr + qr - 1, nc + qc - 1, s * s))
         ext[:nr, :nc] = f.reshape(nr, s, nc, s).swapaxes(1, 2).reshape(nr, nc, s * s)
+        del f  # frees an input no caller holds, such as the blur's adjoint in ForwardModel
         ext[nr:, :nc] = ext[: qr - 1, :nc]
         ext[:, nc:] = ext[:, : qc - 1]
         out = np.matmul(ext[:nr, :nc], self._sub_t[0, 0])
@@ -648,7 +649,11 @@ class ForwardModel:
     Precomputes v, the adjoint applied to the all-ones image, which the
     sparse solver uses as its denominator weight. v is nonnegative by
     construction and strictly positive whenever every atom retains a
-    positive sample under the blur.
+    positive sample under the blur. A shift-invariant dictionary gives
+    every shift of an atom the same column sum, so `column_sums` keeps v
+    cut to length 1 along each axis on which it is exactly constant (one
+    value per atom or spline level; Haar's flat level blocks stay whole),
+    and `v` is a read-only broadcast view of it over coeff_shape.
     """
 
     def __init__(self, kernel: ConvKernel, dictionary):
@@ -664,11 +669,21 @@ class ForwardModel:
             # The blur's adjoint maps the ones image to the constant tap sum;
             # filling that in skips a transform whose temporaries would set
             # the peak memory of a large model's set-up.
-            self.v = dictionary.adjoint(np.full(self.image_shape, float(kernel.taps.sum())))
+            v = dictionary.adjoint(np.full(self.image_shape, float(kernel.taps.sum())))
         else:
-            self.v = self.adjoint(np.ones(self.image_shape))
-        if np.any(self.v < 0):
+            v = self.adjoint(np.ones(self.image_shape))
+        for axis in range(v.ndim):
+            first = v[(slice(None),) * axis + (slice(0, 1),)]
+            if (v == first).all():
+                v = first
+        if np.any(v < 0):
             raise ValueError("adjoint of the ones image came out negative")
+        self.column_sums = v.copy()  # not a view: the full array is freed
+
+    @property
+    def v(self) -> np.ndarray:
+        """The column sums over coeff_shape: a read-only broadcast view."""
+        return np.broadcast_to(self.column_sums, self.coeff_shape)
 
     def evaluate(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(image, Ac): the synthesized image and the blurred model."""

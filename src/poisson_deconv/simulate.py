@@ -90,9 +90,13 @@ def _spline_synthesis(c: np.ndarray, generators) -> np.ndarray:
     ndimage.convolve1d, so the phantom keeps its bytes."""
     img = np.zeros(c.shape[1:])
     for plane, b in zip(c, generators):
-        tmp = _correlate1d(plane, b[::-1], axis=0)
-        img += _correlate1d(tmp, b[::-1], axis=1)
+        img += _spline_plane(plane, b)
     return img
+
+
+def _spline_plane(plane: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # One plane's synthesis: b_j along the rows, then along the columns.
+    return _correlate1d(_correlate1d(plane, b[::-1], axis=0), b[::-1], axis=1)
 
 
 def scale_to_snr(f, target_snr_db: float) -> np.ndarray:
@@ -137,7 +141,7 @@ def make_phantom(rows: int = 128, cols: int = 128) -> np.ndarray:
         raise ValueError("phantom needs at least 32x32 pixels")
     generators = spline_generators(4)
     rng = np.random.default_rng(97531)  # fixed: the phantom is a constant
-    c = np.zeros((len(generators), rows, cols))
+    atoms = [[] for _ in generators]  # per level: (row, col, amplitude) in draw order
 
     def place(level, count, amp_lo, amp_hi):
         placed = 0
@@ -145,19 +149,25 @@ def make_phantom(rows: int = 128, cols: int = 128) -> np.ndarray:
             r = int(rng.integers(0, rows))
             q = int(rng.integers(0, cols))
             if ((r / rows - 0.5) / 0.38) ** 2 + ((q / cols - 0.5) / 0.40) ** 2 <= 1.0:
-                c[level, r, q] += rng.uniform(amp_lo, amp_hi)
+                atoms[level].append((r, q, rng.uniform(amp_lo, amp_hi)))
                 placed += 1
 
     place(3, 8, 1.0, 1.8)
     place(2, 12, 0.5, 1.0)
     place(1, 14, 0.3, 0.7)
     place(0, 10, 0.2, 0.5)
-    img = _spline_synthesis(c, generators)
+    # One coefficient plane at a time, summed as _spline_synthesis sums the stack.
+    img = np.zeros((rows, cols))
+    for level, b in enumerate(generators):
+        plane = np.zeros((rows, cols))
+        for r, q, amp in atoms[level]:
+            plane[r, q] += amp
+        img += _spline_plane(plane, b)
     peak = float(img.max())
-    y, x = np.mgrid[0:rows, 0:cols]
+    y, x = np.ogrid[0:rows, 0:cols]
     y = y / rows
     x = x / cols
     img[(y - 0.32) ** 2 + (x - 0.67) ** 2 <= 0.12**2] += 0.45 * peak
     img[(y - 0.66) ** 2 + (x - 0.30) ** 2 <= 0.07**2] += 0.40 * peak
     img[(y > 0.70) & (y < 0.80) & (x > 0.50) & (x < 0.80)] += 0.40 * peak
-    return np.maximum(img, 0.0)
+    return np.maximum(img, 0.0, out=img)

@@ -25,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_DIV, as_image, floor_zeros, l1_norm, log_inner, log_inner_with, safe_div
+from .core import (
+    EPS_DIV,
+    as_image,
+    floor_zeros,
+    l1_norm,
+    log_inner,
+    log_inner_with,
+    require_same_shape,
+)
 from .metrics import nmse_against
 from .operators import Blur, ConvKernel, ForwardModel, blur_operator
 
@@ -134,8 +142,16 @@ def map_objective(g, model: ForwardModel, c, lam: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Single multiplicative updates; `blurred` may pass in the iterate's blurred
-# model. `kernel` may also be the operator that blur_operator built.
+# model, whose buffer the step consumes: it is overwritten with the ratio
+# g / blurred. `kernel` may also be the operator that blur_operator built.
 # ---------------------------------------------------------------------------
+
+
+def _ratio(g, blurred: np.ndarray, eps_div: float) -> np.ndarray:
+    # safe_div(g, blurred) written into blurred's own buffer.
+    g = np.asarray(g, dtype=np.float64)
+    require_same_shape(g, blurred)
+    return np.divide(g, floor_zeros(blurred, eps_div), out=blurred)
 
 
 def rl_step(
@@ -145,8 +161,7 @@ def rl_step(
     f = np.asarray(f, dtype=np.float64)
     blur = blur_operator(kernel, f.shape)
     blurred = blur.forward(f) if blurred is None else blurred
-    ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    out = blur.adjoint(ratio)
+    out = blur.adjoint(_ratio(g, blurred, eps_div))
     out *= f
     return np.maximum(out, 0.0, out=out)
 
@@ -156,14 +171,19 @@ def srl_step(
 ) -> np.ndarray:
     """One sparse-RL update: A*{ g / A{c} } * c / (v + lam).
 
-    Multiplicative in c, so exact zeros stay exactly zero. `weight` may
-    pass in v + lam with its zeros floored to eps_div, constant for a run.
+    Multiplicative in c, so exact zeros stay exactly zero. `blurred` may
+    pass in A{c}, a float64 array that the step consumes: g / A{c} is
+    formed in its buffer. `weight` may pass in v + lam with its zeros
+    floored to eps_div, constant for a run, in model.column_sums' compact
+    form or any form that broadcasts to c. g, c and the model are left
+    untouched.
     """
     c = np.asarray(c, dtype=np.float64)
     blurred = model.forward(c) if blurred is None else blurred
-    ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    out = model.adjoint(ratio)
-    out *= safe_div(c, model.v + lam, eps_div) if weight is None else c / weight
+    out = model.adjoint(_ratio(g, blurred, eps_div))
+    if weight is None:
+        weight = floor_zeros(model.column_sums + lam, eps_div)
+    out *= c / weight
     return np.maximum(out, 0.0, out=out)
 
 
@@ -210,8 +230,7 @@ def rltv_step(
     denom = np.maximum(1.0 - gamma_tv * tv_curvature(f, eps_tv), DENOM_FLOOR)
     blur = blur_operator(kernel, f.shape)
     blurred = blur.forward(f) if blurred is None else blurred
-    ratio = safe_div(np.asarray(g, dtype=np.float64), blurred, eps_div)
-    return np.maximum((f / denom) * blur.adjoint(ratio), 0.0)
+    return np.maximum((f / denom) * blur.adjoint(_ratio(g, blurred, eps_div)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +296,7 @@ def run_solver(
             raise ValueError(f"g has shape {g.shape}, the model expects {model.image_shape}")
         evaluate = model.evaluate
         state = np.ones(model.coeff_shape)
-        weight = floor_zeros(model.v + cfg.lam, cfg.eps_div)
+        weight = floor_zeros(model.column_sums + cfg.lam, cfg.eps_div)
         step = lambda c, y: srl_step(g, model, c, cfg.lam, cfg.eps_div, y, weight)
     else:
         if kernel is None:

@@ -632,6 +632,106 @@ class TestForwardModel:
         np.testing.assert_array_equal(d.adjoint(c), c)
 
 
+def _full_column_sums(model):
+    """v as one full coefficient array, computed as the model computes it
+    before compacting: through the blur's constant tap sum on a
+    FourierFilter, through the model's adjoint of ones on a column."""
+    if isinstance(model.blur, FourierFilter):
+        return model.dictionary.adjoint(np.full(model.image_shape, float(model.kernel.taps.sum())))
+    return model.adjoint(np.ones(model.image_shape))
+
+
+def _assert_compact_v_exact(model):
+    v = model.v
+    assert v.shape == model.coeff_shape and not v.flags.writeable
+    assert np.shares_memory(v, model.column_sums)
+    assert v.tobytes() == _full_column_sums(model).tobytes()
+
+
+class TestCompactColumnSums:
+    """v is kept as one value per atom or spline level, broadcast read-only
+    over the coefficient grid, and equals the full adjoint of the ones image
+    bit for bit; an axis on which v is not exactly constant stays whole."""
+
+    @pytest.mark.parametrize("shape", [(128, 128), (64, 96)])
+    def test_spline_one_value_per_level(self, shape):
+        model = ForwardModel(inverse_quadratic_kernel(), SplineDictionary(shape, 4))
+        assert model.column_sums.shape == (4, 1, 1)
+        _assert_compact_v_exact(model)
+
+    def test_patch_512_one_value_per_atom(self):
+        atoms = np.random.default_rng(1).uniform(0.0, 1.0, (16, 8, 8))
+        model = ForwardModel(inverse_quadratic_kernel(), PatchDictionary(atoms, 4, (512, 512)))
+        assert model.column_sums.shape == (1, 16)
+        _assert_compact_v_exact(model)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_haar_stays_flat(self, n):
+        """Haar's level blocks sit end to end in one flat vector, which no
+        broadcast can express, so its column sums stay one flat array."""
+        model = ForwardModel(gaussian_kernel_1d(0.2 * math.pi), HaarBoxDictionary(n, (1, 2, 3)))
+        assert model.column_sums.shape == model.coeff_shape
+        _assert_compact_v_exact(model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(patch_cases())
+    @_with_patch_examples()
+    def test_patch_cases(self, case):
+        """Under the largest inverse-quadratic blur (up to 15 x 15) that fits."""
+        n_atoms, patch, stride, shape, seed = case
+        atoms = np.random.default_rng(seed).random((n_atoms, *patch))
+        half = min(7, (min(shape) - 1) // 2)
+        model = ForwardModel(inverse_quadratic_kernel(half), PatchDictionary(atoms, stride, shape))
+        _assert_compact_v_exact(model)
+
+    @pytest.mark.parametrize("n,rows", [(128, 1), (128, 5), (40, 8)])
+    def test_patch_columns_under_a_column_blur(self, n, rows):
+        atoms = np.random.default_rng(n + rows).random((3, rows, 1))
+        model = ForwardModel(gaussian_kernel_1d(0.2 * math.pi), PatchDictionary(atoms, 1, (n, 1)))
+        assert isinstance(model.blur, ColumnFilter)
+        _assert_compact_v_exact(model)
+
+
+def _ownership_cases():
+    """{name: (pass, input)} for every pass that must leave its input as it
+    found it, on both blur kinds and every dictionary."""
+    rng = np.random.default_rng(19)
+    kernel2d = inverse_quadratic_kernel(2)
+    column = gaussian_kernel_1d(0.2 * math.pi)
+    spline = SplineDictionary((24, 20), 3)
+    levels, blur = spline._filter, FourierFilter(kernel2d.taps, (24, 20))
+    cases = {
+        "FourierFilter.adjoint": (blur.adjoint, rng.random((24, 20))),
+        "FourierFilter.adjoint[levels]": (levels.adjoint, rng.random((24, 20))),
+        "FourierFilter.adjoint[then]": (lambda y: levels.adjoint(y, blur), rng.random((24, 20))),
+    }
+    models = {
+        "fused_spline": ForwardModel(kernel2d, spline),
+        "patch": ForwardModel(kernel2d, PatchDictionary(rng.random((4, 4, 4)), 2, (16, 12))),
+        "patch_stride_1": ForwardModel(kernel2d, PatchDictionary(rng.random((2, 3, 2)), 1, (6, 5))),
+        "patch_column": ForwardModel(column, PatchDictionary(rng.random((2, 4, 1)), 1, (32, 1))),
+        "haar": ForwardModel(column, HaarBoxDictionary(64)),
+    }
+    for name, m in models.items():
+        d = m.dictionary
+        cases[f"ForwardModel.adjoint[{name}]"] = (m.adjoint, rng.random(m.image_shape))
+        cases[f"ForwardModel.evaluate[{name}]"] = (m.evaluate, rng.random(m.coeff_shape))
+        if isinstance(d, PatchDictionary):
+            cases[f"PatchDictionary.adjoint[{name}]"] = (d.adjoint, rng.random(d.image_shape))
+            cases[f"PatchDictionary.synthesize[{name}]"] = (d.synthesize, rng.random(d.coeff_shape))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_ownership_cases()))
+def test_passes_leave_their_input_untouched(name):
+    """The operators read their input and never write it: only a solver
+    step's documented `blurred=` buffer is ever overwritten."""
+    fn, x = _ownership_cases()[name]
+    before = x.copy()
+    fn(x)
+    assert x.tobytes() == before.tobytes()
+
+
 @st.composite
 def fused_cases(draw):
     """A spline model with 1-4 levels on a random shape (odd or even sides)
@@ -951,6 +1051,7 @@ class TestDataPathKeepsExactZeros:
         digests = {
             (128, 128): "a904d819951ec28ffe0831e4a7ab29ae6450dea7f692d3de14ecf0560d69ee78",
             (64, 96): "5656eae82edf119fc6655b530400386896ca0add8c86b44a245c41bfd0a24722",
+            (512, 512): "0177343688707c0362431acf05971ed4bebd073e9952768ae579c0d008d19ca2",
         }
         half = len(spline_generator(3)) // 2
         for (rows, cols), digest in digests.items():

@@ -1,6 +1,7 @@
 """Signal synthesis, Poisson sampling, SNR scaling, and trial streams."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,3 +209,15 @@ class TestPhantom:
         inside = img[91, 70:100]  # first row inside the bar plateau
         outside = img[88, 70:100]  # two rows above its edge
         assert (inside - outside).mean() > 0.25 * img.max()
+
+    def test_256_call_peaks_below_4_5_mib(self):
+        """One level plane at a time, with masks from open grids: 3.7 MiB
+        traced (0.5 MiB per image-sized array), where a four-plane
+        coefficient stack and full index grids took 5.2 MiB."""
+        tracemalloc.start()
+        try:
+            make_phantom(256, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20, f"{peak / 2**20:.2f} MiB"

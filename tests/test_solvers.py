@@ -1,6 +1,7 @@
 """Objectives, gradients, multiplicative updates, and the solver driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from poisson_deconv.operators import (
     HaarBoxDictionary,
     PatchDictionary,
     SplineDictionary,
+    blur_operator,
     conv_forward,
     gaussian_kernel_1d,
     inverse_quadratic_kernel,
@@ -302,6 +304,78 @@ class TestSrlStep:
             c = srl_step(g, model, c, 0.2)
             assert np.all(c.ravel()[dead] == 0.0)
             assert np.all(c >= 0.0)
+
+
+def _step_cases():
+    """(name, step(g, state, blurred), g, state, Hx of the state) for RL and
+    RLTV on both blur kinds and SRL on every model path."""
+    rng = np.random.default_rng(34)
+    cases = []
+    blurs = ((inverse_quadratic_kernel(2), (16, 12)), (gaussian_kernel_1d(0.6), (64, 1)))
+    for kernel, shape in blurs:
+        f = rng.random(shape) + 0.1
+        g = poisson_sample(conv_forward(kernel, f) * 20.0, rng)
+        kind = "2d" if shape[1] > 1 else "column"
+        blur = blur_operator(kernel, shape)
+        rl = lambda g, f, y, b=blur: rl_step(g, b, f, blurred=y)
+        rltv = lambda g, f, y, b=blur: rltv_step(g, b, f, 0.01, blurred=y)
+        cases.append((f"rl_{kind}", rl, g, f, blur.forward(f)))
+        cases.append((f"rltv_{kind}", rltv, g, f, blur.forward(f)))
+    for path in SRL_PATHS:
+        model, g = _srl_problem(path)
+        c = rng.random(model.coeff_shape)
+        srl = lambda g, c, y, m=model: srl_step(g, m, c, 0.1, blurred=y)
+        cases.append((f"srl_{path}", srl, g, c, model.forward(c)))
+    return cases
+
+
+STEP_CASES = [case[0] for case in _step_cases()]
+
+
+class TestStepsWriteOnlyTheirBlurredBuffer:
+    """A step handed `blurred=` forms g / blurred in that buffer, which it
+    consumes; g, the state and the model's v are left as they were, and the
+    update is the one the step computes from scratch."""
+
+    @pytest.mark.parametrize("name", STEP_CASES)
+    def test_ownership(self, name):
+        _, step, g, state, blurred = next(c for c in _step_cases() if c[0] == name)
+        g0, state0, ratio = g.copy(), state.copy(), g / blurred
+        fresh = step(g, state, None)
+        assert g.tobytes() == g0.tobytes() and state.tobytes() == state0.tobytes()
+        out = step(g, state, blurred)
+        assert g.tobytes() == g0.tobytes() and state.tobytes() == state0.tobytes()
+        assert blurred.tobytes() == ratio.tobytes()
+        assert out.tobytes() == fresh.tobytes()
+
+    def test_model_v_is_read_only(self):
+        model, g = _srl_problem("patch")
+        sums = model.column_sums.copy()
+        srl_step(g, model, np.ones(model.coeff_shape), 0.1)
+        assert not model.v.flags.writeable
+        assert model.column_sums.tobytes() == sums.tobytes()
+        with pytest.raises(ValueError):
+            model.v[0, 0] = 1.0
+
+
+class TestSolveWorkingSet:
+    def test_256_patch_solve_peaks_below_3_5_mib(self):
+        """Beyond g and the model, a 256^2 patch SRL solve holds five
+        coefficient- or image-sized arrays (0.5 MiB each) at its peak, 3.1
+        MiB traced, where a full v + lam weight, a separate ratio array and
+        the blur adjoint's output kept through the dictionary's adjoint
+        took 4.6 MiB."""
+        rng = np.random.default_rng(3)
+        kernel = inverse_quadratic_kernel()
+        model = ForwardModel(kernel, PatchDictionary(rng.random((16, 8, 8)), 4, (256, 256)))
+        g = poisson_sample(conv_forward(kernel, rng.random((256, 256)) * 20.0), rng)
+        tracemalloc.start()
+        try:
+            run_solver("srl", g, model=model, config=SolverConfig(lam=0.1, max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def _tv_curvature_oracle(f, eps_tv):
