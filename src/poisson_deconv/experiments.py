@@ -255,6 +255,9 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     )
     if cfg.n_trials < 1:
         raise ValueError("n_trials must be positive")
+    if not 0.0 < cfg.sparsity[0] <= cfg.sparsity[1] <= 0.1:
+        lo, hi = merged["sparsity_lo"], merged["sparsity_hi"]
+        raise ValueError(f"sparsity_lo={lo!r}, sparsity_hi={hi!r}: need 0 < lo <= hi <= 0.1")
     if cfg.peak_on not in ("blurred", "true"):
         raise ValueError("peak_on must be 'blurred' or 'true'")
     if any(s.method == "srl" for s in cfg.solvers) and not dictionary:
@@ -278,7 +281,7 @@ def _build_kernel(cfg: ExperimentConfig) -> ConvKernel:
     if cfg.kernel == "inverse_quadratic":
         return inverse_quadratic_kernel()
     if cfg.kernel.startswith("file:"):
-        return make_kernel(io.load_matrix_text(cfg.kernel[5:]), normalize=True)
+        return make_kernel(io.load_matrix_text(cfg.kernel[5:]))
     raise ValueError(f"unknown kernel spec {cfg.kernel!r}")
 
 

@@ -81,22 +81,18 @@ def synth_sparse_signal(
     return c, synthesize(c)
 
 
-def _spline_synthesis(c: np.ndarray, generators) -> np.ndarray:
+def _spline_synthesis(planes, generators) -> np.ndarray:
     """SplineDictionary synthesis on the data path, as direct separable
     passes (plane j convolved with b_j along rows, then columns, summed
     over the planes): an FFT would leave round-off where the signal is
     exactly 0, and the Poisson sampler draws differently there. Each pass
     is a correlation with the reversed generator, summed in the order of
-    ndimage.convolve1d, so the phantom keeps its bytes."""
-    img = np.zeros(c.shape[1:])
-    for plane, b in zip(c, generators):
-        img += _spline_plane(plane, b)
+    ndimage.convolve1d, so the phantom keeps its bytes. `planes` may be
+    any iterable, so a caller can build one plane at a time."""
+    img = 0.0  # the first term makes the image array; the rest add in place
+    for plane, b in zip(planes, generators):
+        img += _correlate1d(_correlate1d(plane, b[::-1], axis=0), b[::-1], axis=1)
     return img
-
-
-def _spline_plane(plane: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # One plane's synthesis: b_j along the rows, then along the columns.
-    return _correlate1d(_correlate1d(plane, b[::-1], axis=0), b[::-1], axis=1)
 
 
 def scale_to_snr(f, target_snr_db: float) -> np.ndarray:
@@ -156,13 +152,15 @@ def make_phantom(rows: int = 128, cols: int = 128) -> np.ndarray:
     place(2, 12, 0.5, 1.0)
     place(1, 14, 0.3, 0.7)
     place(0, 10, 0.2, 0.5)
-    # One coefficient plane at a time, summed as _spline_synthesis sums the stack.
-    img = np.zeros((rows, cols))
-    for level, b in enumerate(generators):
-        plane = np.zeros((rows, cols))
-        for r, q, amp in atoms[level]:
-            plane[r, q] += amp
-        img += _spline_plane(plane, b)
+
+    def plane(points):
+        out = np.zeros((rows, cols))
+        for r, q, amp in points:
+            out[r, q] += amp
+        return out
+
+    # One coefficient plane at a time, so only one is held.
+    img = _spline_synthesis(map(plane, atoms), generators)
     peak = float(img.max())
     y, x = np.ogrid[0:rows, 0:cols]
     y = y / rows

@@ -10,18 +10,18 @@ relative-change stopping rule or an oracle rule that keeps the iterate
 with the lowest error against a known ground truth, synthesizing and
 blurring each iterate once for its next step, objective, NMSE and estimate.
 
-The blur is the operator operators.blur_operator builds for the image
-shape, once per run: a ColumnFilter on N x 1 columns, a FourierFilter on
-2-D images. A FourierFilter's round-off can leave entries near -1e-17
-where the exact product is 0, so the RL and sparse-RL updates clamp at 0
-(on a column every sum is of nonnegative products and the clamp changes
-nothing).
+Each step is one update, x * op*(g / op(x)) / divisor (_update), with op
+the blur for RL and RLTV and the forward model for sparse RL. The blur is
+what operators.blur_operator builds once per run: a ColumnFilter on N x 1
+columns, a FourierFilter on 2-D images, whose round-off can leave entries
+near -1e-17 where the exact product is 0, so the update clamps at 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -120,9 +120,9 @@ class SolverResult:
 # ---------------------------------------------------------------------------
 
 
-def _neg_log_likelihood(g, blurred: np.ndarray) -> float:
-    # <1, y> - <g, log y> for the blurred model y, shared by both objectives.
-    return float(blurred.sum()) - log_inner(g, blurred)
+def _neg_log_likelihood(g_log, blurred: np.ndarray) -> float:
+    # <1, y> - <g, log y> for the blurred model y, where g_log(y) = <g, log y>.
+    return float(blurred.sum()) - g_log(blurred)
 
 
 def ml_objective(g, kernel: ConvKernel | Blur, f) -> float:
@@ -132,12 +132,12 @@ def ml_objective(g, kernel: ConvKernel | Blur, f) -> float:
     Returns +inf when g is positive somewhere the blurred model vanishes.
     """
     f = np.asarray(f, dtype=np.float64)
-    return _neg_log_likelihood(g, blur_operator(kernel, f.shape).forward(f))
+    return _neg_log_likelihood(partial(log_inner, g), blur_operator(kernel, f.shape).forward(f))
 
 
 def map_objective(g, model: ForwardModel, c, lam: float) -> float:
     """Penalized objective <1, Ac> - <g, log Ac> + lam * ||c||_1."""
-    return _neg_log_likelihood(g, model.forward(c)) + lam * l1_norm(c)
+    return _neg_log_likelihood(partial(log_inner, g), model.forward(c)) + lam * l1_norm(c)
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +147,21 @@ def map_objective(g, model: ForwardModel, c, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(g, blurred: np.ndarray, eps_div: float) -> np.ndarray:
-    # safe_div(g, blurred) written into blurred's own buffer.
+def _update(op, g, x, divisor, eps_div: float, blurred) -> np.ndarray:
+    """x * op*{ g / op{x} } / divisor clamped at 0; g / op{x} is formed in
+    the buffer of `blurred` (op{x} when None)."""
+    blurred = op.forward(x) if blurred is None else blurred
     g = np.asarray(g, dtype=np.float64)
     require_same_shape(g, blurred)
-    return np.divide(g, floor_zeros(blurred, eps_div), out=blurred)
+    out = op.adjoint(np.divide(g, floor_zeros(blurred, eps_div), out=blurred))
+    out *= x / divisor
+    return np.maximum(out, 0.0, out=out)
 
 
-def rl_step(
-    g, kernel: ConvKernel | Blur, f, eps_div: float = EPS_DIV, blurred=None
-) -> np.ndarray:
+def rl_step(g, kernel: ConvKernel | Blur, f, eps_div: float = EPS_DIV, blurred=None) -> np.ndarray:
     """One RL update: f * H*{ g / H{f} } (pointwise product and ratio)."""
     f = np.asarray(f, dtype=np.float64)
-    blur = blur_operator(kernel, f.shape)
-    blurred = blur.forward(f) if blurred is None else blurred
-    out = blur.adjoint(_ratio(g, blurred, eps_div))
-    out *= f
-    return np.maximum(out, 0.0, out=out)
+    return _update(blur_operator(kernel, f.shape), g, f, 1.0, eps_div, blurred)
 
 
 def srl_step(
@@ -179,12 +177,9 @@ def srl_step(
     untouched.
     """
     c = np.asarray(c, dtype=np.float64)
-    blurred = model.forward(c) if blurred is None else blurred
-    out = model.adjoint(_ratio(g, blurred, eps_div))
     if weight is None:
         weight = floor_zeros(model.column_sums + lam, eps_div)
-    out *= c / weight
-    return np.maximum(out, 0.0, out=out)
+    return _update(model, g, c, weight, eps_div, blurred)
 
 
 def _grad_circ(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +223,7 @@ def rltv_step(
     """
     f = np.asarray(f, dtype=np.float64)
     denom = np.maximum(1.0 - gamma_tv * tv_curvature(f, eps_tv), DENOM_FLOOR)
-    blur = blur_operator(kernel, f.shape)
-    blurred = blur.forward(f) if blurred is None else blurred
-    return np.maximum((f / denom) * blur.adjoint(_ratio(g, blurred, eps_div)), 0.0)
+    return _update(blur_operator(kernel, f.shape), g, f, denom, eps_div, blurred)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def run_solver(
         rel = delta / prev_norm if prev_norm > 0 else np.inf
         state = new_state
         image, blurred = evaluate(state)
-        objective = float(blurred.sum()) - g_log(blurred)
+        objective = _neg_log_likelihood(g_log, blurred)
         if method == "srl":
             # l1_norm without its sign check: the step clamps at 0.
             objective += cfg.lam * float(state.sum())

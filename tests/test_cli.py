@@ -136,6 +136,13 @@ class TestRun:
         key, value = line.split("=")
         assert f"error: {key}={value!r}: " in capsys.readouterr().err
 
+    def test_sparsity_out_of_range_fails_before_any_trial(self, tmp_path, capsys):
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\nsparsity_lo=0.5\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "error: sparsity_lo='0.5', sparsity_hi='0.03': " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_lambda_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\nlambda=nan\n")

@@ -162,6 +162,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"jobs='{jobs}': trials run in one process"):
             build_config({"experiment": "oned_high", "jobs": jobs})
 
+    @pytest.mark.parametrize(
+        "lo,hi", [("0.5", "0.03"), ("0", "0.03"), ("-0.01", "0.03"), ("0.05", "0.02"), ("0.015", "0.2")]
+    )
+    def test_sparsity_range_checked(self, lo, hi):
+        """Out-of-range fractions fail here, naming both keys, not at trial 0."""
+        build_config({"experiment": "oned_high", "sparsity_lo": "0.1", "sparsity_hi": "0.1"})
+        with pytest.raises(ValueError, match=f"sparsity_lo='{lo}', sparsity_hi='{hi}': need 0 < lo"):
+            build_config({"experiment": "oned_high", "sparsity_lo": lo, "sparsity_hi": hi})
+
     def test_per_solver_max_iters(self):
         cfg = build_config({"experiment": "twod_splines"})
         by_method = {s.method: s.config.max_iters for s in cfg.solvers}

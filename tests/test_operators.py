@@ -38,7 +38,8 @@ from poisson_deconv.operators import (
     spline_generator,
     spline_generators,
 )
-from poisson_deconv.simulate import make_phantom
+from poisson_deconv.simulate import make_phantom, poisson_sample
+from poisson_deconv.solvers import SolverConfig, run_solver, srl_step
 
 
 def circ_conv_oracle(x, taps):
@@ -163,7 +164,7 @@ class TestCircularConvolution:
         for _ in range(20):
             x = rng.random((13, 6))
             y = rng.random((13, 6))
-            k = make_kernel(rng.random((5, 3)), normalize=False)
+            k = ConvKernel(rng.random((5, 3)))  # taps that keep their own sum
             lhs = inner(conv_forward(k, x), y)
             rhs = inner(x, conv_adjoint(k, y))
             bound = 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
@@ -575,10 +576,6 @@ class TestPatchDictionary:
         with pytest.raises(ValueError):
             PatchDictionary(atoms, stride=8, image_shape=(8, 8))  # gaps in coverage
 
-    def test_default_stride_is_half_patch(self):
-        d = PatchDictionary(np.ones((2, 4, 4)), stride=None, image_shape=(8, 8))
-        assert d.stride == 2
-
 
 class TestForwardModel:
     def _models(self, rng):
@@ -664,6 +661,24 @@ class TestCompactColumnSums:
         model = ForwardModel(inverse_quadratic_kernel(), PatchDictionary(atoms, 4, (512, 512)))
         assert model.column_sums.shape == (1, 16)
         _assert_compact_v_exact(model)
+
+    def test_patch_axis_kept_whole_where_v_is_not_constant(self):
+        """11 atoms of 72 x 86 at stride 4 on 88 x 88: the patch adjoint's
+        last grid columns come out one ulp off on the constant image, so v
+        keeps its whole patch axis. SRL runs on that full weight: one step
+        keeps its weighted mass and a short solve stays finite."""
+        atoms = np.random.default_rng(2).uniform(0.0, 1.0, (11, 72, 86))
+        model = ForwardModel(inverse_quadratic_kernel(), PatchDictionary(atoms, 4, (88, 88)))
+        assert model.column_sums.shape == (484, 11)
+        _assert_compact_v_exact(model)
+        rng = np.random.default_rng(3)
+        g = poisson_sample(rng.random(model.image_shape) * 20.0, rng)
+        c = srl_step(g, model, np.ones(model.coeff_shape), 0.1)
+        mass = inner(c, model.v + 0.1)
+        assert abs(mass - g.sum()) <= 1e-12 * g.sum()
+        res = run_solver("srl", g, model=model, config=SolverConfig(lam=0.1, max_iters=3))
+        assert res.trace.n_iters == 3 and res.trace.terminated_by == "max_iters"
+        assert np.all(np.isfinite(res.coefficients)) and np.all(np.isfinite(res.estimate))
 
     @pytest.mark.parametrize("n", [32, 128])
     def test_haar_stays_flat(self, n):
@@ -971,22 +986,25 @@ def direct_cases(draw):
 
 @st.composite
 def correlate1d_cases(draw):
-    """An image of 1-40 x 1-40, and odd nonnegative weights, possibly longer
-    than the image, that are symmetric, one ulp off symmetric (where
-    ndimage still takes its symmetric branch) or asymmetric."""
+    """An image of 1-40 x 1-40, odd nonnegative weights, possibly longer
+    than the image, and their kind: symmetric, one ulp off symmetric (where
+    ndimage still takes its symmetric branch) or asymmetric (at least 3
+    long, its end weights 1 apart)."""
     rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    length = draw(st.integers(0, 20)) * 2 + 1
+    kind = draw(st.sampled_from(["symmetric", "one ulp off", "asymmetric"]))
+    length = draw(st.integers(1 if kind == "asymmetric" else 0, 20)) * 2 + 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.random(length)
-    kind = draw(st.sampled_from(["symmetric", "one ulp off", "asymmetric"]))
-    if kind != "asymmetric":
+    if kind == "asymmetric":
+        w[0] += 1.0
+    else:
         w = (w + w[::-1]) / 2.0
     if kind == "one ulp off":
         k = draw(st.integers(0, length - 1))
         w[k] = np.nextafter(w[k], 2.0)
     x = rng.standard_normal((rows, cols))
     x[rng.random(x.shape) < 0.2] = -0.0
-    return w, x
+    return w, x, kind
 
 
 def _same_bytes(a, b):
@@ -1024,8 +1042,14 @@ class TestDirectPassesMatchNdimage:
     @settings(max_examples=150, deadline=None)
     @given(correlate1d_cases(), st.sampled_from([0, 1]))
     def test_correlate1d(self, case, axis):
-        w, x = case
-        _same_bytes(_correlate1d(x, w, axis), ndimage.correlate1d(x, w, axis=axis, mode="wrap"))
+        """Every spline generator is symmetric to DBL_EPSILON, so only
+        ndimage's symmetric branch is kept; other weights raise."""
+        w, x, kind = case
+        if kind == "asymmetric":
+            with pytest.raises(ValueError, match="symmetric"):
+                _correlate1d(x, w, axis)
+        else:
+            _same_bytes(_correlate1d(x, w, axis), ndimage.correlate1d(x, w, axis=axis, mode="wrap"))
 
 
 class TestDataPathKeepsExactZeros:

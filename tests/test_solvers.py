@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     IdentityDictionary,
@@ -818,3 +820,71 @@ class TestFourierPathStaysNonnegative:
         model = ForwardModel(inverse_quadratic_kernel(2), SplineDictionary(g.shape, 2))
         res = run_solver("srl", g, model=model, config=SolverConfig(lam=0.1, max_iters=5))
         assert np.all(res.coefficients >= 0.0) and np.all(res.estimate >= 0.0)
+
+
+@st.composite
+def update_problems(draw):
+    """(model, g, rng) on a small problem: the Haar dictionary on an N x 1
+    column (ColumnFilter blur), the spline or patch dictionary on a 2-D
+    image (FourierFilter blur), or the identity dictionary under either
+    blur kind. g is a Poisson draw with about a third of its pixels zeroed,
+    so the FFT path's round-off reaches the clamp."""
+    kind = draw(st.sampled_from(["haar", "identity_column", "spline", "patch", "identity_2d"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("haar", "identity_column"):
+        n = draw(st.sampled_from([16, 32, 64]))
+        kernel = gaussian_kernel_1d(draw(st.floats(0.3 * math.pi, 0.9 * math.pi)))
+        if kind == "haar":
+            levels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+            dictionary = HaarBoxDictionary(n, levels)
+        else:
+            dictionary = IdentityDictionary((n, 1))
+    else:
+        s = draw(st.sampled_from([1, 2])) if kind == "patch" else 1
+        shape = (s * draw(st.integers(8 // s, 16 // s)), s * draw(st.integers(8 // s, 16 // s)))
+        kr, kc = draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5]))
+        kernel = make_kernel(rng.random((kr, kc)))
+        if kind == "spline":
+            dictionary = SplineDictionary(shape, draw(st.integers(1, 2)))
+        elif kind == "patch":
+            patch = (draw(st.integers(s, 4)), draw(st.integers(s, 4)))
+            dictionary = PatchDictionary(rng.random((draw(st.integers(1, 3)), *patch)), s, shape)
+        else:
+            dictionary = IdentityDictionary(shape)
+    model = ForwardModel(kernel, dictionary)
+    g = poisson_sample(rng.random(model.image_shape) * 20.0, rng)
+    g[rng.random(g.shape) < 0.3] = 0.0
+    return model, g, rng
+
+
+class TestSharedUpdateInvariants:
+    """RL, RLTV and SRL are one update on the blur or the forward model; its
+    invariants hold on every dictionary and both blur kinds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(update_problems(), st.floats(0.0, 0.05))
+    def test_rl_and_rltv(self, problem, gamma_tv):
+        """Nonnegative; RL keeps sum f = sum g where Hf > 0 (here everywhere,
+        f being positive); RLTV with gamma = 0 is RL to the bit."""
+        model, g, rng = problem
+        f = rng.random(model.image_shape) + 0.1
+        rl = rl_step(g, model.blur, f)
+        assert np.all(rl >= 0.0)
+        assert abs(rl.sum() - g.sum()) <= 1e-12 * max(g.sum(), 1.0)
+        assert np.all(rltv_step(g, model.blur, f, gamma_tv) >= 0.0)
+        assert np.array_equal(rltv_step(g, model.blur, f, 0.0), rl)
+
+    @settings(max_examples=150, deadline=None)
+    @given(update_problems(), st.floats(0.01, 1.0))
+    def test_srl(self, problem, lam):
+        """sum (v + lam) c' = sum g where Ac > 0 (everywhere for positive c),
+        and coefficients that are exactly 0 stay exactly 0."""
+        model, g, rng = problem
+        c = rng.random(model.coeff_shape) + 0.1
+        out = srl_step(g, model, c, lam)
+        assert np.all(out >= 0.0)
+        assert abs(weighted_l1(out, model.v + lam) - g.sum()) <= 1e-12 * max(g.sum(), 1.0)
+        dead = rng.random(c.shape) < 0.3
+        c[dead] = 0.0
+        out = srl_step(g, model, c, lam)
+        assert np.all(out[dead] == 0.0) and np.all(out >= 0.0)
