@@ -7,7 +7,7 @@ patch atoms), and a total-variation regularized RL, together with the
 simulation and metric machinery to compare them over seeded trials.
 """
 
-from .core import EPS_DIV, l1_norm, safe_div
+from .core import EPS_DIV, l1_norm
 from .metrics import MetricReport, average_trials, nmse, ssim
 from .operators import (
     ColumnFilter,

@@ -78,26 +78,14 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def floor_zeros(den: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
-    """`den` with its exact zeros replaced by `eps`: what safe_div divides by.
+    """`den` with its exact zeros replaced by `eps`, the denominator of
+    every pointwise ratio: 0/0 -> 0, x/0 -> x/eps, nonzero entries kept.
 
     Returns `den` itself when it holds no zero.
     """
     den = np.asarray(den, dtype=np.float64)
     # Without a zero to floor, skip the mask and the copy np.where would make.
     return den if den.all() else np.where(den == 0.0, eps, den)
-
-
-def safe_div(num: np.ndarray, den: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
-    """Pointwise num/den with exact zeros in `den` floored to `eps`.
-
-    A zero numerator over a zero denominator yields 0; a positive
-    numerator over a zero denominator yields num/eps. Nonzero
-    denominators are never altered.
-    """
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    require_same_shape(num, den)
-    return num / floor_zeros(den, eps)
 
 
 def log_inner(g: np.ndarray, x: np.ndarray) -> float:

@@ -325,7 +325,8 @@ def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict[str, 
     With `cfg.dump_trials`, writes the trial's truth and data, then each
     solver's reconstruction and trace as it finishes, into `cfg.out_dir`.
     Returns, per solver method, the NMSE, the SSIM (None where the image is
-    narrower than the SSIM window) and the NMSE curve.
+    narrower than the SSIM window) and the NMSE curve, the solver trace's
+    float64 array of one value per iteration.
     """
     rng = rng_for_trial(cfg.seed, trial)
     if cfg.signal == "sparse1d":
@@ -370,7 +371,7 @@ def run_trial(problem: Problem, cfg: ExperimentConfig, trial: int) -> dict[str, 
     return scores
 
 
-def _padded_columns(traces: list[list[float]]) -> np.ndarray:
+def _padded_columns(traces: list[np.ndarray]) -> np.ndarray:
     """Stack per-trial NMSE curves, padding early-converged runs with their
     final value so the average is defined out to the longest run."""
     longest = max(len(t) for t in traces)

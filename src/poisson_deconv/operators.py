@@ -451,10 +451,10 @@ def spline_generator(j: int, normalized: bool = True) -> np.ndarray:
     return b
 
 
-def spline_generators(n_levels: int, normalized: bool = True) -> list[np.ndarray]:
+def spline_generators(n_levels: int) -> list[np.ndarray]:
     if n_levels < 1:
         raise ValueError("need at least one scale")
-    return [spline_generator(j, normalized) for j in range(n_levels)]
+    return [spline_generator(j) for j in range(n_levels)]
 
 
 class SplineDictionary:

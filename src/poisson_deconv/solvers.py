@@ -20,7 +20,7 @@ near -1e-17 where the exact product is 0, so the update clamps at 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -79,33 +79,39 @@ class SolverConfig:
 class SolverTrace:
     """Per-iteration record of a solver run.
 
-    `objective` is empty only for traces built by hand; `nmse` is None
-    when no ground truth was supplied. `terminated_by` is one of
-    converged, max_iters, nmse_optimal, or non_finite (the step size came
-    out NaN or infinite; the offending iterate is the last one recorded).
+    Its records are 1-D float64 arrays, whatever sequence built them;
+    `objective` is empty only for traces built by hand, `nmse` None when no
+    ground truth was supplied. `terminated_by` is one of converged,
+    max_iters, nmse_optimal, or non_finite (the step size came out NaN or
+    infinite; the offending iterate is the last one recorded).
     """
 
-    rel_change: list[float] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    nmse: list[float] | None = None
+    rel_change: np.ndarray = ()
+    objective: np.ndarray = ()
+    nmse: np.ndarray | None = None
     terminated_by: str = ""
     oracle: bool = False
+
+    def __post_init__(self):
+        self.rel_change = np.asarray(self.rel_change, dtype=np.float64)
+        self.objective = np.asarray(self.objective, dtype=np.float64)
+        if self.nmse is not None:
+            self.nmse = np.asarray(self.nmse, dtype=np.float64)
 
     @property
     def n_iters(self) -> int:
         return len(self.rel_change)
 
     def write_csv(self, path) -> None:
+        # Python floats format to the same text as numpy scalars, and faster.
+        rel, objective = self.rel_change.tolist(), self.objective.tolist()
+        nmse = [] if self.nmse is None else self.nmse.tolist()
         with open(path, "w") as fh:
             fh.write("iter,objective,rel_change,nmse\n")
             for i in range(self.n_iters):
-                obj = f"{self.objective[i]:.12g}" if i < len(self.objective) else ""
-                err = (
-                    f"{self.nmse[i]:.12g}"
-                    if self.nmse is not None and i < len(self.nmse)
-                    else ""
-                )
-                fh.write(f"{i + 1},{obj},{self.rel_change[i]:.12g},{err}\n")
+                obj = f"{objective[i]:.12g}" if i < len(objective) else ""
+                err = f"{nmse[i]:.12g}" if i < len(nmse) else ""
+                fh.write(f"{i + 1},{obj},{rel[i]:.12g},{err}\n")
 
 
 @dataclass
@@ -263,7 +269,7 @@ def run_solver(
     mass of g for RL/RLTV, all-ones coefficients for SRL; an explicit
     `init` must match the state's shape and be finite and nonnegative. A
     `ground_truth` must be finite, nonnegative, not all zero, and of the
-    estimate's (g's) shape.
+    estimate's (g's) shape. The trace's per-iteration records are float64 arrays.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -309,14 +315,15 @@ def run_solver(
             raise ValueError("init must be finite and nonnegative")
         state = init
 
-    track_nmse = ground_truth is not None
-    trace = SolverTrace(nmse=[] if track_nmse else None, oracle=(mode == "nmse_optimal"))
+    track_nmse, oracle = ground_truth is not None, mode == "nmse_optimal"
+    # Lists append faster than indexed writes; SolverTrace makes them arrays.
+    rel_changes, objectives, errors = [], [], ([] if track_nmse else None)
     best, best_err = None, np.inf
     # Per-run constants: the data's support and the truth's energy.
     g_log = log_inner_with(g)
     error = nmse_against(ground_truth) if track_nmse else None
 
-    terminated = "nmse_optimal" if trace.oracle else "max_iters"
+    terminated = "nmse_optimal" if oracle else "max_iters"
     blurred = None  # the first step blurs its starting point itself
     for _ in range(cfg.max_iters):
         image = None  # only `blurred` is held across the step, to keep peak memory down
@@ -332,12 +339,12 @@ def run_solver(
             objective += cfg.lam * float(state.sum())
         elif method == "rltv":
             objective += cfg.gamma_tv * tv_norm(state)
-        trace.rel_change.append(rel)
-        trace.objective.append(objective)
+        rel_changes.append(rel)
+        objectives.append(objective)
         if track_nmse:
             err = error(image)
-            trace.nmse.append(err)
-            if trace.oracle and err < best_err:
+            errors.append(err)
+            if oracle and err < best_err:
                 best, best_err = (state, image), err
         if not math.isfinite(delta):
             terminated = "non_finite"
@@ -348,5 +355,5 @@ def run_solver(
 
     if best is not None:
         state, image = best
-    trace.terminated_by = terminated
+    trace = SolverTrace(rel_changes, objectives, errors, terminated, oracle)
     return SolverResult(image, state if method == "srl" else None, trace)

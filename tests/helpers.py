@@ -6,7 +6,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, stats
 
-from poisson_deconv.core import EPS_DIV, as_image, log_inner, require_same_shape, safe_div
+from poisson_deconv.core import EPS_DIV, as_image, floor_zeros, log_inner, require_same_shape
 from poisson_deconv.io import save_matrix_text, save_pgm
 from poisson_deconv.metrics import SSIM_K1, SSIM_K2, SSIM_WINDOW
 from poisson_deconv.operators import ConvKernel
@@ -75,7 +75,7 @@ def gradient_map(g, model, c, lam: float, eps_div: float = EPS_DIV) -> np.ndarra
     """
     c = np.asarray(c, dtype=np.float64)
     ac = model.forward(c)
-    ratio = safe_div(np.asarray(g, dtype=np.float64), ac, eps_div)
+    ratio = np.asarray(g, dtype=np.float64) / floor_zeros(ac, eps_div)
     return model.v - model.adjoint(ratio) + lam * np.sign(c)
 
 

@@ -12,46 +12,57 @@ import numpy as np
 import pytest
 
 import poisson_deconv
-from helpers import inner, weighted_l1
+from helpers import identity_kernel, inner, weighted_l1
 from poisson_deconv.core import (
     EPS_DIV,
     as_image,
+    floor_zeros,
     l1_norm,
     log_inner,
-    safe_div,
 )
+from poisson_deconv.solvers import rl_step
+
+
+def _ratio(num, den, eps=EPS_DIV):
+    """num / den as an RL step forms it: ones * H*(num / floor(den)) with the
+    identity blur on a column, `den` passed in as the blurred iterate."""
+    num = np.asarray(num, dtype=np.float64)[:, np.newaxis]
+    den = np.array(den, dtype=np.float64)[:, np.newaxis]
+    return rl_step(num, identity_kernel(), np.ones_like(num), eps, blurred=den)[:, 0]
 
 
 class TestDivisionPolicy:
     def test_plain_ratio_and_zero_over_zero(self):
-        """div([1,0],[2,0]) -> [0.5, 0]: zero numerators survive a zero denominator."""
-        out = safe_div(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        np.testing.assert_array_equal(out, [0.5, 0.0])
+        """[1,0]/[2,0] -> [0.5, 0]: zero numerators survive a zero denominator."""
+        np.testing.assert_array_equal(floor_zeros(np.array([2.0, 0.0])), [2.0, EPS_DIV])
+        np.testing.assert_array_equal(_ratio([1.0, 0.0], [2.0, 0.0]), [0.5, 0.0])
 
     def test_positive_over_zero_hits_floor(self):
-        out = safe_div(np.array([3.0]), np.array([0.0]))
-        assert out[0] == 3.0 / EPS_DIV
+        assert _ratio([3.0], [0.0])[0] == 3.0 / EPS_DIV
+        assert _ratio([3.0], [0.0], eps=1e-6)[0] == 3.0 / 1e-6
 
     def test_nonzero_denominators_untouched(self):
         rng = np.random.default_rng(7)
-        a = rng.random((5, 4))
-        b = rng.random((5, 4)) + 0.1
-        np.testing.assert_array_equal(safe_div(a, b), a / b)
+        a = rng.random(20)
+        b = rng.random(20) + 0.1
+        assert floor_zeros(b) is b
+        np.testing.assert_array_equal(_ratio(a, b), a / b)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            safe_div(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            rl_step(np.ones((3, 1)), identity_kernel(), np.ones((4, 1)), blurred=np.ones((4, 1)))
 
     def test_closure_on_nonnegative_inputs(self):
-        """add/mul/scalar-mul/safe_div on nonnegative arrays stay nonnegative."""
+        """add/mul/scalar-mul/floored division on nonnegative arrays stay nonnegative."""
         rng = np.random.default_rng(11)
         for _ in range(50):
-            a = rng.random((6, 5)) * rng.choice([0.0, 1.0], size=(6, 5))
-            b = rng.random((6, 5)) * rng.choice([0.0, 1.0], size=(6, 5))
+            a = rng.random(30) * rng.choice([0.0, 1.0], size=30)
+            b = rng.random(30) * rng.choice([0.0, 1.0], size=30)
             assert np.all(a + b >= 0)
             assert np.all(a * b >= 0)
             assert np.all(2.5 * a >= 0)
-            assert np.all(safe_div(a, b) >= 0)
+            assert np.all(a / floor_zeros(b) >= 0)
+            assert np.all(_ratio(a, b) >= 0)
 
 
 class TestElementwiseExamples:

@@ -11,12 +11,14 @@ import textwrap
 import numpy as np
 import pytest
 
+from poisson_deconv import experiments
 from poisson_deconv.experiments import (
     PRESETS,
     build_config,
     build_problem,
     parse_config_text,
     run_experiment,
+    run_trial,
 )
 import poisson_deconv
 from poisson_deconv.io import load_atoms, load_matrix_text, load_pgm, save_atoms
@@ -327,6 +329,23 @@ class TestRunExperiment:
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
         assert all(float(r[1]) >= 0 for r in rows)
+
+    def test_trial_keeps_the_solver_trace_nmse_array(self, tmp_path, monkeypatch):
+        """run_trial hands on each solver's float64 NMSE trace itself, no copy."""
+        cfg = build_config(tiny_oned_mapping(tmp_path / "out", solvers="rl:oracle,srl,rltv"))
+        results, original = {}, experiments.run_solver
+
+        def recorded(method, *args, **kwargs):
+            results[method] = original(method, *args, **kwargs)
+            return results[method]
+
+        monkeypatch.setattr(experiments, "run_solver", recorded)
+        scores = run_trial(build_problem(cfg), cfg, 0)
+        assert sorted(scores) == sorted(results) == ["rl", "rltv", "srl"]
+        for method, result in results.items():
+            curve = scores[method]["trace_nmse"]
+            assert curve is result.trace.nmse
+            assert curve.dtype == np.float64 and curve.shape == (result.trace.n_iters,)
 
 
 class TestBuildProblem:

@@ -479,7 +479,8 @@ class TestRunSolver:
         for k, f_true in cases:
             g = poisson_sample(conv_forward(k, f_true) + 0.5, rng)
             res = run_solver("rl", g, kernel=k, config=cfg)
-            e = np.array([ml_objective(g, k, np.full(g.shape, g.mean()))] + res.trace.objective)
+            e0 = ml_objective(g, k, np.full(g.shape, g.mean()))
+            e = np.concatenate(([e0], res.trace.objective))
             assert np.all(np.diff(e) <= 1e-12 * np.abs(e[:-1]))
             assert e[-1] < e[0]
 
@@ -608,9 +609,12 @@ class TestRunSolverMatchesReferenceLoop:
             rel, obj, err, estimate = _reference_run(
                 method, g, kernel, model, cfg, truth if with_truth else None, mode
             )
-            assert res.trace.rel_change == rel
-            assert res.trace.objective == obj
-            assert res.trace.nmse == err
+            assert np.array_equal(res.trace.rel_change, rel)
+            assert np.array_equal(res.trace.objective, obj)
+            if err is None:
+                assert res.trace.nmse is None
+            else:
+                assert np.array_equal(res.trace.nmse, err)
             np.testing.assert_array_equal(res.estimate, estimate)
             if mode == "converged":
                 assert res.trace.terminated_by == "converged" and res.trace.n_iters < 40
@@ -645,6 +649,43 @@ class TestRunSolverMatchesReferenceLoop:
         assert counts == {"synthesize": 26, "blur.forward": 26}
 
 
+class TestTraceArrays:
+    """A run's trace holds 1-D float64 arrays, 8 bytes per iteration."""
+
+    @pytest.mark.parametrize("method", ["rl", "srl", "rltv"])
+    @pytest.mark.parametrize(
+        "mode,with_truth",
+        [("converged", False), ("converged", True), ("nmse_optimal", True)],
+    )
+    def test_fields_are_float64_arrays(self, method, mode, with_truth):
+        rng = np.random.default_rng(32)
+        kernel = make_kernel(rng.random((3, 3)))
+        model = ForwardModel(kernel, SplineDictionary((16, 16), 2))
+        truth = rng.random((16, 16)) * 6.0
+        g = poisson_sample(conv_forward(kernel, truth) + 0.5, rng)
+        cfg = SolverConfig(epsilon_stop=3e-2, max_iters=30)
+        res = run_solver(
+            method, g, kernel=kernel, model=model, config=cfg,
+            ground_truth=truth if with_truth else None, mode=mode,
+        )
+        trace = res.trace
+        n = trace.n_iters
+        assert 1 <= n <= 30 and (n == 30) == (mode == "nmse_optimal")
+        fields = [trace.rel_change, trace.objective] + ([trace.nmse] if with_truth else [])
+        for values in fields:
+            assert type(values) is np.ndarray and values.dtype == np.float64
+            assert values.shape == (n,) and values.nbytes == 8 * n
+        if not with_truth:
+            assert trace.nmse is None
+
+    def test_hand_built_trace_is_converted(self):
+        trace = SolverTrace(rel_change=[0.5, 0.1], objective=(3, 2), terminated_by="max_iters")
+        assert trace.rel_change.dtype == np.float64 and trace.objective.dtype == np.float64
+        np.testing.assert_array_equal(trace.objective, [3.0, 2.0])
+        assert trace.nmse is None and trace.n_iters == 2
+        assert SolverTrace().rel_change.shape == (0,)
+
+
 def _recorded_steps(monkeypatch, name):
     """Outputs of every solvers.<name> call that run_solver makes."""
     steps = []
@@ -669,7 +710,8 @@ class TestSrlObjectiveMonotone:
         cfg = SolverConfig(lam=0.1, epsilon_stop=1e-15, max_iters=300)
         res = run_solver("srl", g, model=model, config=cfg)
         assert res.trace.terminated_by == "max_iters"
-        obj = [map_objective(g, model, np.ones(model.coeff_shape), cfg.lam)] + res.trace.objective
+        obj0 = map_objective(g, model, np.ones(model.coeff_shape), cfg.lam)
+        obj = np.concatenate(([obj0], res.trace.objective))
         rises = np.diff(obj)
         assert np.all(rises <= 1e-12 * np.abs(obj).max()), rises.max()
         assert obj[-1] < obj[0]
