@@ -72,9 +72,12 @@ def as_image(a, name: str = "image") -> np.ndarray:
     return arr
 
 
-def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+def require_shape(x, shape: tuple[int, ...]) -> np.ndarray:
+    """`x` as a float64 array, checked to have `shape`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise ValueError(f"shape mismatch: input shape {x.shape} does not match {shape}")
+    return x
 
 
 def floor_zeros(den: np.ndarray, eps: float = EPS_DIV) -> np.ndarray:
@@ -95,10 +98,7 @@ def log_inner(g: np.ndarray, x: np.ndarray) -> float:
     entry has g > 0 while x <= 0 the sum is -inf (reported, not raised),
     which makes the objectives that subtract this term come out +inf.
     """
-    g = np.asarray(g, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    require_same_shape(g, x)
-    return log_inner_with(g)(x)
+    return log_inner_with(g)(require_shape(x, np.shape(g)))
 
 
 def log_inner_with(g: np.ndarray) -> Callable[[np.ndarray], float]:

@@ -34,7 +34,7 @@ from .simulate import (
     scale_to_snr,
     synth_sparse_signal,
 )
-from .solvers import SolverConfig, run_solver
+from .solvers import METHODS, SolverConfig, run_solver
 
 _COMMON = {
     "signal": "",
@@ -186,8 +186,8 @@ def _parse_solvers(merged: dict[str, str]) -> tuple[SolverSpec, ...]:
             continue
         parts = item.split(":")
         method = parts[0]
-        if method not in ("rl", "srl", "rltv"):
-            raise ValueError(f"unknown solver {method!r}")
+        if method not in METHODS:
+            raise ValueError(f"unknown solver {method!r}, expected one of {METHODS}")
         if method in seen:
             raise ValueError(f"solver {method!r} listed twice")
         seen.add(method)
@@ -219,11 +219,19 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
     signal = merged["signal"]
     if signal not in ("sparse1d", "image2d"):
         raise ValueError("config must set signal=sparse1d or signal=image2d")
+    kernel = merged["kernel"]
+    if kernel.startswith("file:"):
+        if not os.path.exists(kernel[5:]):
+            raise ValueError(f"kernel={kernel!r}: {kernel[5:]!r} does not exist")
+    elif kernel not in ("gaussian", "inverse_quadratic"):
+        raise ValueError(f"kernel={kernel!r}: expected gaussian, inverse_quadratic or file:<path>")
     for key in ("image_file", "atoms_file"):
         path = merged[key]
         if path and not os.path.exists(path):
             raise ValueError(f"{key}={path!r} does not exist")
     dictionary = merged["dictionary"]
+    if dictionary not in ("", "haar", "spline", "patch"):
+        raise ValueError(f"dictionary={dictionary!r}: expected haar, spline, patch or nothing")
     if dictionary == "patch" and not merged["atoms_file"]:
         raise ValueError("dictionary=patch requires atoms_file=<path>")
 
@@ -241,7 +249,7 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         n=_value(merged, "n", int),
         rows=_value(merged, "rows", int),
         cols=_value(merged, "cols", int),
-        kernel=merged["kernel"],
+        kernel=kernel,
         cutoff=_value(merged, "cutoff", _finite),
         dictionary=dictionary,
         haar_levels=_value(merged, "haar_levels", lambda v: tuple(map(int, v.split(",")))),
@@ -260,8 +268,8 @@ def build_config(mapping: dict[str, str]) -> ExperimentConfig:
         raise ValueError(f"sparsity_lo={lo!r}, sparsity_hi={hi!r}: need 0 < lo <= hi <= 0.1")
     if cfg.peak_on not in ("blurred", "true"):
         raise ValueError("peak_on must be 'blurred' or 'true'")
-    if any(s.method == "srl" for s in cfg.solvers) and not dictionary:
-        raise ValueError("srl requires a dictionary")
+    if not dictionary and (signal == "sparse1d" or any(s.method == "srl" for s in cfg.solvers)):
+        raise ValueError("sparse1d signals and the srl solver need a dictionary")
     return cfg
 
 
@@ -280,9 +288,7 @@ def _build_kernel(cfg: ExperimentConfig) -> ConvKernel:
         return gaussian_kernel_1d(cfg.cutoff)
     if cfg.kernel == "inverse_quadratic":
         return inverse_quadratic_kernel()
-    if cfg.kernel.startswith("file:"):
-        return make_kernel(io.load_matrix_text(cfg.kernel[5:]))
-    raise ValueError(f"unknown kernel spec {cfg.kernel!r}")
+    return make_kernel(io.load_matrix_text(cfg.kernel[5:]))  # build_config checked the spec
 
 
 def _build_dictionary(cfg: ExperimentConfig, image_shape: tuple[int, int]):
@@ -290,18 +296,14 @@ def _build_dictionary(cfg: ExperimentConfig, image_shape: tuple[int, int]):
         return HaarBoxDictionary(image_shape[0], cfg.haar_levels)
     if cfg.dictionary == "spline":
         return SplineDictionary(image_shape, cfg.spline_levels)
-    if cfg.dictionary == "patch":
-        atoms, stride = io.load_atoms(cfg.atoms_file)
-        return PatchDictionary(atoms, stride, image_shape)
-    raise ValueError(f"unknown dictionary spec {cfg.dictionary!r}")
+    atoms, stride = io.load_atoms(cfg.atoms_file)  # build_config checked the spec
+    return PatchDictionary(atoms, stride, image_shape)
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
     kernel = _build_kernel(cfg)
     needs_model = any(s.method == "srl" for s in cfg.solvers)
     if cfg.signal == "sparse1d":
-        if not cfg.dictionary:
-            raise ValueError("sparse1d experiments need a dictionary to synthesize from")
         model = ForwardModel(kernel, _build_dictionary(cfg, (cfg.n, 1)))
         return Problem(kernel=kernel, model=model, truth=None, intensity=None)
     # image2d: fixed ground truth, rescaled so its blurred version hits the SNR.
@@ -384,9 +386,10 @@ def _padded_columns(traces: list[np.ndarray]) -> np.ndarray:
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricReport]:
     """Run all trials, write metrics.csv plus per-solver trace CSVs, and
-    return the aggregated per-solver reports (in config order)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    return the aggregated per-solver reports (in config order). A problem
+    that cannot be built fails before the output directory is made."""
     problem = build_problem(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     results = [run_trial(problem, cfg, t) for t in range(cfg.n_trials)]
 
     reports = []

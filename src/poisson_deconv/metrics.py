@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_same_shape
+from .core import require_shape
 
 SSIM_WINDOW = 8
 SSIM_K1 = 0.01
@@ -34,9 +34,6 @@ SSIM_K2 = 0.03
 
 def nmse(f_true, f_hat) -> float:
     """||f_true - f_hat||_F^2 / ||f_true||_F^2 for a single trial."""
-    f_true = np.asarray(f_true, dtype=np.float64)
-    f_hat = np.asarray(f_hat, dtype=np.float64)
-    require_same_shape(f_true, f_hat)
     return nmse_against(f_true)(f_hat)
 
 
@@ -48,9 +45,8 @@ def nmse_against(f_true) -> Callable[[np.ndarray], float]:
     if denom == 0.0:
         raise ValueError("nmse undefined for an all-zero ground truth")
 
-    def error(f_hat: np.ndarray) -> float:
-        require_same_shape(f_true, f_hat)
-        diff = f_true - f_hat
+    def error(f_hat) -> float:
+        diff = f_true - require_shape(f_hat, f_true.shape)
         return float((diff * diff).sum()) / denom
 
     return error
@@ -86,12 +82,10 @@ def ssim(f_true, f_hat) -> float:
     arguments. Two identical images score exactly 1.
     """
     a = np.asarray(f_true, dtype=np.float64)
-    b = np.asarray(f_hat, dtype=np.float64)
-    require_same_shape(a, b)
-    if a.ndim != 2:
-        raise ValueError(f"ssim needs 2-D images, got ndim={a.ndim}")
-    if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
-        raise ValueError(f"image {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    b = require_shape(f_hat, a.shape)
+    if a.ndim != 2 or min(a.shape) < SSIM_WINDOW:
+        side = f"{SSIM_WINDOW}x{SSIM_WINDOW}"
+        raise ValueError(f"ssim needs 2-D images of at least {side}, got {a.shape}")
     peak = max(float(a.max()), float(b.max()))
     if peak <= 0.0:
         return 1.0

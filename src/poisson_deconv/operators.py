@@ -51,31 +51,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_NORM_TOL = 1e-12
+from .core import require_shape
+
 _EPS = np.finfo(np.float64).eps  # C's DBL_EPSILON, ndimage's footprint threshold
 
 
 @dataclass(frozen=True)
 class ConvKernel:
-    """Nonnegative convolution mask with odd-sized support.
-
-    `taps` is 2-D; kernels for 1-D signals use a single column. When
-    `normalized` is set the taps sum to one within 1e-12.
+    """Nonnegative convolution mask with odd-sized support, the operators'
+    one kernel type and the one check of their taps: `taps`, kept as float64,
+    is 2-D (a single column for 1-D signals), finite and nonnegative.
     """
 
     taps: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
-        taps = self.taps
+        taps = np.asarray(self.taps, dtype=np.float64)
+        object.__setattr__(self, "taps", taps)
         if taps.ndim != 2:
             raise ValueError("kernel taps must be 2-D (use a column for 1-D)")
         if any(s % 2 == 0 for s in taps.shape):
             raise ValueError(f"kernel dimensions must be odd, got {taps.shape}")
         if np.any(taps < 0) or not np.all(np.isfinite(taps)):
             raise ValueError("kernel taps must be finite and nonnegative")
-        if self.normalized and abs(float(taps.sum()) - 1.0) > _NORM_TOL:
-            raise ValueError("kernel flagged normalized but taps do not sum to 1")
 
 
 def make_kernel(taps) -> ConvKernel:
@@ -86,7 +84,7 @@ def make_kernel(taps) -> ConvKernel:
     total = float(taps.sum())
     if total <= 0:
         raise ValueError("cannot normalize a kernel with nonpositive sum")
-    return ConvKernel(taps=taps / total, normalized=True)
+    return ConvKernel(taps / total)
 
 
 def gaussian_kernel_1d(cutoff: float) -> ConvKernel:
@@ -177,20 +175,13 @@ def _correlate1d(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
 def conv_forward(kernel: ConvKernel, x: np.ndarray) -> np.ndarray:
     """Circular convolution of `x` with the kernel (centered taps)."""
     x = np.asarray(x, dtype=np.float64)
-    return _correlate(x, _kernel(kernel.taps, x.shape)[::-1, ::-1])
+    return _correlate(x, _kernel(kernel, x.shape)[::-1, ::-1])
 
 
 def conv_adjoint(kernel: ConvKernel, y: np.ndarray) -> np.ndarray:
     """Adjoint of conv_forward: convolution with the spatially reversed taps."""
     y = np.asarray(y, dtype=np.float64)
-    return _correlate(y, _kernel(kernel.taps, y.shape))
-
-
-def _checked(x, shape) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != shape:
-        raise ValueError(f"input shape {x.shape} does not match {shape}")
-    return x
+    return _correlate(y, _kernel(kernel, y.shape))
 
 
 def _shift_table(n: int, reach: int) -> np.ndarray:
@@ -218,35 +209,34 @@ def _image(spec: np.ndarray, cols: int) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), n=cols, axis=-1)
 
 
-def _kernel(taps, shape) -> np.ndarray:
-    """`taps` as a float 2-D kernel, checked to be odd-sized and to fit `shape`."""
-    k = np.asarray(taps, dtype=np.float64)
-    if k.ndim != 2 or any(s % 2 == 0 for s in k.shape):
-        raise ValueError(f"kernel dimensions must be odd, got {k.shape}")
+def _kernel(kernel: ConvKernel, shape) -> np.ndarray:
+    """The kernel's taps, checked to fit an image of `shape`. A ConvKernel's
+    taps were checked when it was made; raw taps are made a ConvKernel."""
+    k = (kernel if isinstance(kernel, ConvKernel) else ConvKernel(kernel)).taps
     if k.shape[0] > shape[0] or k.shape[1] > shape[1]:
         raise ValueError(f"kernel {k.shape} larger than image {shape}")
     return k
 
 
 class FourierFilter:
-    """Centred 2-D taps applied circularly by multiplying with a precomputed
-    transfer function, the DFT of the taps wrapped onto the image grid.
+    """A ConvKernel applied circularly by multiplying with a precomputed
+    transfer function, the DFT of its centred taps wrapped onto the image grid.
 
-    `taps` is one odd-sized 2-D kernel, or a list of J of them (one per
-    dictionary level); `shape` is the image shape, which no kernel may
-    exceed. For one kernel, forward and adjoint match conv_forward and
-    conv_adjoint. For a list, forward maps J coefficient planes to the sum
-    of their convolutions and adjoint maps an image to its J correlations.
-    The transfer function is stored real when every kernel is
-    centrosymmetric to rounding. Results match the direct passes to rounding, so an
-    entry that is exactly zero there can come out near +-1e-17 here; callers
-    that need nonnegativity clamp.
+    `kernel` is one ConvKernel, or a list of J of them (one per dictionary
+    level); `shape` is the image shape, which no kernel may exceed. For one
+    kernel, forward and adjoint match conv_forward and conv_adjoint. For a
+    list, forward maps J coefficient planes to the sum of their convolutions
+    and adjoint maps an image to its J correlations. The transfer function
+    is stored real when every kernel is centrosymmetric to rounding. Results
+    match the direct passes to rounding, so an entry that is exactly zero
+    there can come out near +-1e-17 here; callers that need nonnegativity
+    clamp.
     """
 
-    def __init__(self, taps, shape: tuple[int, int]):
+    def __init__(self, kernel: ConvKernel | list[ConvKernel], shape: tuple[int, int]):
         rows, cols = int(shape[0]), int(shape[1])
-        self.levels = len(taps) if isinstance(taps, list) else 0
-        kernels = [_kernel(k, (rows, cols)) for k in (taps if self.levels else [taps])]
+        self.levels = len(kernel) if isinstance(kernel, list) else 0
+        kernels = [_kernel(k, (rows, cols)) for k in (kernel if self.levels else [kernel])]
         # Centrosymmetric taps have a real transfer function. Asymmetry at
         # the rounding level (the level-2 cubic B-spline is one ulp off) adds
         # an imaginary part far below the FFT's own error, so it is dropped.
@@ -276,7 +266,7 @@ class FourierFilter:
         same image shape, the pair (image, then.forward(image)) from the
         image's one spectrum, one plane transform fewer than two calls."""
         self._check_then(then)
-        spec = _spectrum(_checked(x, self.input_shape))
+        spec = _spectrum(require_shape(x, self.input_shape))
         spec *= self.transfer
         if self.levels:
             spec = spec.sum(axis=0)
@@ -291,7 +281,7 @@ class FourierFilter:
         second part, self.adjoint(then.adjoint(y)), from one spectrum of y,
         two plane transforms fewer than two calls."""
         self._check_then(then)
-        spec = _spectrum(_checked(y, self.image_shape))
+        spec = _spectrum(require_shape(y, self.image_shape))
         if then is not None:
             spec *= then._adjoint_transfer
         # One kernel multiplies in place; J levels broadcast to J spectra.
@@ -300,7 +290,7 @@ class FourierFilter:
 
 
 class ColumnFilter:
-    """One centred column kernel applied circularly to an N x 1 column as a
+    """A single-column ConvKernel applied circularly to an N x 1 column as a
     gather and a dot product over a precomputed table of wrapped indices.
 
     forward and adjoint match conv_forward and conv_adjoint to rounding. As
@@ -309,11 +299,11 @@ class ColumnFilter:
     stay exact and a non-finite entry spreads no further.
     """
 
-    def __init__(self, taps, shape: tuple[int, int]):
+    def __init__(self, kernel: ConvKernel, shape: tuple[int, int]):
         rows, cols = int(shape[0]), int(shape[1])
         if cols != 1:
             raise ValueError(f"a ColumnFilter serves N x 1 images, got {shape}")
-        taps = _kernel(taps, (rows, cols))[:, 0]
+        taps = _kernel(kernel, (rows, cols))[:, 0]
         self.image_shape = (rows, 1)
         # conv_forward sums taps[t] x[i + s] with shift s = half - t, and
         # conv_adjoint the same with -s.
@@ -325,11 +315,11 @@ class ColumnFilter:
         self._adjoint_idx = np.ascontiguousarray(table[:, kept])
 
     def forward(self, x) -> np.ndarray:
-        flat = _checked(x, self.image_shape).ravel()
+        flat = require_shape(x, self.image_shape).ravel()
         return (flat[self._forward_idx] @ self._taps)[:, np.newaxis]
 
     def adjoint(self, y) -> np.ndarray:
-        flat = _checked(y, self.image_shape).ravel()
+        flat = require_shape(y, self.image_shape).ravel()
         return (flat[self._adjoint_idx] @ self._taps)[:, np.newaxis]
 
 
@@ -349,8 +339,8 @@ def blur_operator(kernel: ConvKernel | Blur, shape) -> Blur:
     if isinstance(kernel, Blur):
         return kernel
     if shape[1] == 1:
-        return ColumnFilter(kernel.taps, shape)
-    return FourierFilter(kernel.taps, shape)
+        return ColumnFilter(kernel, shape)
+    return FourierFilter(kernel, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +402,7 @@ class HaarBoxDictionary:
         ]
 
     def synthesize(self, c) -> np.ndarray:
-        blocks = _checked(c, self.coeff_shape)[self._synth_idx]
+        blocks = require_shape(c, self.coeff_shape)[self._synth_idx]
         blocks *= self._scale
         out = blocks[self._synth_first]
         for width, b in self._synth_steps:
@@ -422,7 +412,7 @@ class HaarBoxDictionary:
         return out[:, np.newaxis]
 
     def adjoint(self, f) -> np.ndarray:
-        sums = _checked(f, self.image_shape).ravel()[self._adjoint_idx]
+        sums = require_shape(f, self.image_shape).ravel()[self._adjoint_idx]
         out = np.empty((len(self.levels), self.n))
         for shift, b, scale in self._adjoint_steps:
             if shift:
@@ -432,12 +422,11 @@ class HaarBoxDictionary:
         return out.ravel()
 
 
-def spline_generator(j: int, normalized: bool = True) -> np.ndarray:
-    """1-D cubic B-spline taps at dyadic scale 2^j, length 2^(j+2) - 1.
-
-    Computed by convolving four ones-vectors of length 2^j with the unit
-    cubic spline [1, 4, 1]/6 and scaling by 2^(-3j); the raw taps sum to
-    2^j. With `normalized` the taps are rescaled to unit l2 norm.
+def spline_generator(j: int) -> np.ndarray:
+    """1-D cubic B-spline taps of unit l2 norm at dyadic scale 2^j, length
+    2^(j+2) - 1: four ones-vectors of length 2^j convolved with the unit
+    cubic spline [1, 4, 1]/6 and scaled by 2^(-3j) (taps summing to 2^j),
+    then rescaled to unit norm.
     """
     if j < 0:
         raise ValueError("scale index must be nonnegative")
@@ -446,9 +435,7 @@ def spline_generator(j: int, normalized: bool = True) -> np.ndarray:
     for _ in range(3):
         b = np.convolve(b, box)
     b = np.convolve(b, np.array([1.0, 4.0, 1.0]) / 6.0) * 2.0 ** (-3 * j)
-    if normalized:
-        b = b / np.linalg.norm(b)
-    return b
+    return b / np.linalg.norm(b)
 
 
 def spline_generators(n_levels: int) -> list[np.ndarray]:
@@ -470,7 +457,7 @@ class SplineDictionary:
 
     def __init__(self, shape: tuple[int, int], n_levels: int):
         self.generators = spline_generators(n_levels)
-        self._filter = FourierFilter([np.outer(b, b) for b in self.generators], shape)
+        self._filter = FourierFilter([ConvKernel(np.outer(b, b)) for b in self.generators], shape)
         self.image_shape = self._filter.image_shape
         self.n_levels = int(n_levels)
         self.coeff_shape = self._filter.input_shape
@@ -569,7 +556,7 @@ class PatchDictionary:
         self._sub_t = np.ascontiguousarray(self._sub.swapaxes(2, 3))
 
     def synthesize(self, c) -> np.ndarray:
-        c = _checked(c, self.coeff_shape)
+        c = require_shape(c, self.coeff_shape)
         (nr, nc), (qr, qc) = self._grid, self._sub.shape[:2]
         s = self.stride
         buf = np.zeros((nr + qr - 1, nc + qc - 1, s * s))
@@ -587,7 +574,7 @@ class PatchDictionary:
         return np.ascontiguousarray(image)
 
     def adjoint(self, f) -> np.ndarray:
-        f = _checked(f, self.image_shape)
+        f = require_shape(f, self.image_shape)
         (nr, nc), (qr, qc) = self._grid, self._sub.shape[:2]
         s = self.stride
         ext = np.empty((nr + qr - 1, nc + qc - 1, s * s))

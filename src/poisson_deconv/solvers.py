@@ -32,7 +32,7 @@ from .core import (
     l1_norm,
     log_inner,
     log_inner_with,
-    require_same_shape,
+    require_shape,
 )
 from .metrics import nmse_against
 from .operators import Blur, ConvKernel, ForwardModel, blur_operator
@@ -157,8 +157,7 @@ def _update(op, g, x, divisor, eps_div: float, blurred) -> np.ndarray:
     """x * op*{ g / op{x} } / divisor clamped at 0; g / op{x} is formed in
     the buffer of `blurred` (op{x} when None)."""
     blurred = op.forward(x) if blurred is None else blurred
-    g = np.asarray(g, dtype=np.float64)
-    require_same_shape(g, blurred)
+    g = require_shape(g, blurred.shape)
     out = op.adjoint(np.divide(g, floor_zeros(blurred, eps_div), out=blurred))
     out *= x / divisor
     return np.maximum(out, 0.0, out=out)
@@ -330,7 +329,8 @@ def run_solver(
         new_state = step(state, blurred)
         prev_norm = _norm(state)
         delta = _norm(new_state - state)
-        rel = delta / prev_norm if prev_norm > 0 else np.inf
+        # A multiplicative step never leaves a zero state: a fixed point, not an infinite step.
+        rel = delta / prev_norm if prev_norm > 0 else (0.0 if delta == 0 else math.inf)
         state = new_state
         image, blurred = evaluate(state)
         objective = _neg_log_likelihood(g_log, blurred)

@@ -6,7 +6,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, stats
 
-from poisson_deconv.core import EPS_DIV, as_image, floor_zeros, log_inner, require_same_shape
+from poisson_deconv.core import EPS_DIV, as_image, floor_zeros, log_inner, require_shape
 from poisson_deconv.io import save_matrix_text, save_pgm
 from poisson_deconv.metrics import SSIM_K1, SSIM_K2, SSIM_WINDOW
 from poisson_deconv.operators import ConvKernel
@@ -40,16 +40,14 @@ def poisson_gof_pvalue(draws, mean):
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Standard inner product: sum of the elementwise products."""
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    require_same_shape(a, b)
+    b = require_shape(b, a.shape)
     return float(np.dot(a.ravel(), b.ravel()))
 
 
 def weighted_l1(c, w) -> float:
     """Weighted l1 norm sum(w_i * c_i) of nonnegative c with weights w >= 0."""
     c = np.asarray(c, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    require_same_shape(c, w)
+    w = require_shape(w, c.shape)
     if np.any(c < 0) or np.any(w < 0):
         raise ValueError("weighted_l1 expects nonnegative inputs")
     # Same pairwise summation as l1_norm so unit weights reproduce it exactly.
@@ -89,7 +87,17 @@ def save_image(path, img: np.ndarray) -> None:
 
 
 def identity_kernel() -> ConvKernel:
-    return ConvKernel(taps=np.ones((1, 1)), normalized=True)
+    return ConvKernel(np.ones((1, 1)))
+
+
+def raw_spline_taps(j: int) -> np.ndarray:
+    """Cubic B-spline taps at dyadic scale 2^j before spline_generator's
+    unit-norm scaling: the unit cubic spline [1, 4, 1]/6 convolved with four
+    boxes of 2^j ones, times 2^(-3j), so they sum to 2^j."""
+    b = np.array([1.0, 4.0, 1.0]) / 6.0
+    for _ in range(4):
+        b = np.convolve(b, np.ones(2**j))
+    return b * 2.0 ** (-3 * j)
 
 
 class IdentityDictionary:

@@ -143,6 +143,23 @@ class TestRun:
         assert "error: sparsity_lo='0.5', sparsity_hi='0.03': " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("experiment=oned_high\nkernel=gausian", "kernel='gausian': expected gaussian"),
+            ("experiment=oned_high\nkernel=file:no_such_kernel.txt", "does not exist"),
+            ("experiment=oned_high\nhaar_levels=2,9", "level 9 outside valid range"),
+            ("experiment=twod_splines\nrows=16", "phantom needs at least 32x32"),
+            ("experiment=twod_splines\nsolvers=rl\ndictionary=splin", "dictionary='splin'"),
+        ],
+    )
+    def test_problem_errors_fail_before_any_output(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{lines}\nout_dir={tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_lambda_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\nlambda=nan\n")

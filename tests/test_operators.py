@@ -17,6 +17,7 @@ from helpers import (
     IdentityDictionary,
     identity_kernel,
     inner,
+    raw_spline_taps,
     spline_adjoint_direct,
     spline_synthesize_direct,
 )
@@ -66,14 +67,9 @@ class TestKernelConstruction:
         with pytest.raises(ValueError):
             make_kernel(np.array([1.0, -0.1, 1.0]))
 
-    def test_normalized_flag_is_checked(self):
-        with pytest.raises(ValueError):
-            ConvKernel(taps=np.full((3, 1), 0.5), normalized=True)
-
     def test_normalization(self):
         k = make_kernel(np.array([1.0, 2.0, 1.0]))
         assert abs(k.taps.sum() - 1.0) < 1e-12
-        assert k.normalized
 
 
 class TestGaussianKernel:
@@ -173,7 +169,7 @@ class TestCircularConvolution:
     def test_circular_shift_wraps(self):
         taps = np.zeros((3, 1))
         taps[2, 0] = 1.0  # shift down by one, wrapping the last row to the top
-        k = ConvKernel(taps=taps, normalized=True)
+        k = ConvKernel(taps)
         x = np.arange(8.0).reshape(4, 2)
         np.testing.assert_array_equal(conv_forward(k, x), np.roll(x, 1, axis=0))
 
@@ -303,7 +299,7 @@ class TestHaarBoxDictionary:
 
 class TestSplineGenerators:
     def test_scale_zero_is_unit_cubic_spline(self):
-        b0 = spline_generator(0, normalized=False)
+        b0 = raw_spline_taps(0)
         np.testing.assert_allclose(b0, np.array([1.0, 4.0, 1.0]) / 6.0, rtol=1e-15)
         b0n = spline_generator(0)
         np.testing.assert_allclose(
@@ -314,10 +310,12 @@ class TestSplineGenerators:
         assert [len(b) for b in spline_generators(4)] == [3, 7, 15, 31]
 
     def test_raw_mass_doubles_per_scale(self):
-        """Unnormalized taps sum to 2^j (direct summation)."""
+        """Unnormalized taps sum to 2^j (direct summation), and the
+        generators are those taps scaled to unit norm."""
         for j in range(5):
-            total = float(spline_generator(j, normalized=False).sum())
-            assert abs(total - 2.0**j) < 1e-12 * 2.0**j
+            raw = raw_spline_taps(j)
+            assert abs(float(raw.sum()) - 2.0**j) < 1e-12 * 2.0**j
+            np.testing.assert_allclose(spline_generator(j), raw / np.linalg.norm(raw), rtol=1e-13)
 
     def test_unit_l2_norm_and_symmetry(self):
         for j in range(4):
@@ -714,7 +712,7 @@ def _ownership_cases():
     kernel2d = inverse_quadratic_kernel(2)
     column = gaussian_kernel_1d(0.2 * math.pi)
     spline = SplineDictionary((24, 20), 3)
-    levels, blur = spline._filter, FourierFilter(kernel2d.taps, (24, 20))
+    levels, blur = spline._filter, FourierFilter(kernel2d, (24, 20))
     cases = {
         "FourierFilter.adjoint": (blur.adjoint, rng.random((24, 20))),
         "FourierFilter.adjoint[levels]": (levels.adjoint, rng.random((24, 20))),
@@ -795,7 +793,7 @@ class TestFusedSplineModel:
 
     def test_pair_filter_must_be_one_kernel_on_the_same_shape(self):
         d = SplineDictionary((16, 16), 2)
-        for blur in (FourierFilter(np.ones((3, 3)), (16, 18)), d._filter):
+        for blur in (FourierFilter(ConvKernel(np.ones((3, 3))), (16, 18)), d._filter):
             with pytest.raises(ValueError, match="one kernel"):
                 d.synthesize(np.ones(d.coeff_shape), blur)
             with pytest.raises(ValueError, match="one kernel"):
@@ -830,7 +828,7 @@ class TestFourierFilter:
     @example((np.arange(1.0, 36.0).reshape(5, 7), np.ones((6, 7)), np.eye(6, 7)))
     def test_single_kernel_matches_direct(self, case):
         taps, x, y = case
-        filt = FourierFilter(taps, x.shape)
+        filt = FourierFilter(ConvKernel(taps), x.shape)
         symmetric = np.array_equal(taps, taps[::-1, ::-1])
         assert (filt.transfer.dtype.kind == "f") == symmetric
         _close(filt.forward(x), ndimage.convolve(x, taps, mode="wrap"))
@@ -848,7 +846,7 @@ class TestFourierFilter:
         owns one, against the direct separable passes."""
         rng = np.random.default_rng(seed)
         d = SplineDictionary((rows, cols), n_levels)
-        filt = FourierFilter([np.outer(b, b) for b in d.generators], (rows, cols))
+        filt = FourierFilter([ConvKernel(np.outer(b, b)) for b in d.generators], (rows, cols))
         c = rng.random(d.coeff_shape)
         y = rng.random(d.image_shape)
         for synthesize, adjoint in ((filt.forward, filt.adjoint), (d.synthesize, d.adjoint)):
@@ -881,10 +879,19 @@ class TestFourierFilter:
 
     def test_kernel_larger_than_image_rejected(self):
         with pytest.raises(ValueError, match="larger than image"):
-            FourierFilter(np.ones((5, 3)), (4, 8))
+            FourierFilter(ConvKernel(np.ones((5, 3))), (4, 8))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_nan_and_negative_taps_rejected(self, bad):
+        """Raw taps meet ConvKernel's checks, alone or as one level of a list."""
+        taps = np.ones((3, 3))
+        taps[1, 2] = bad
+        for kernel in (taps, [ConvKernel(np.ones((3, 3))), taps]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                FourierFilter(kernel, (8, 8))
 
     def test_input_shape_checked(self):
-        filt = FourierFilter([np.ones((3, 3))] * 2, (6, 6))
+        filt = FourierFilter([ConvKernel(np.ones((3, 3)))] * 2, (6, 6))
         with pytest.raises(ValueError, match="does not match"):
             filt.forward(np.ones((6, 6)))
         with pytest.raises(ValueError, match="does not match"):
@@ -921,7 +928,7 @@ class TestColumnFilter:
     def test_matches_direct_and_dense(self, case):
         taps, x, y = case
         n = x.shape[0]
-        filt = ColumnFilter(taps[:, np.newaxis], (n, 1))
+        filt = ColumnFilter(ConvKernel(taps[:, np.newaxis]), (n, 1))
         dense = dense_column_blur(taps, n)
         _close(filt.forward(x), ndimage.convolve(x, taps[:, np.newaxis], mode="wrap"))
         _close(filt.adjoint(y), ndimage.correlate(y, taps[:, np.newaxis], mode="wrap"))
@@ -935,7 +942,7 @@ class TestColumnFilter:
     def test_impulse_stays_in_its_footprint(self, case, where, value):
         taps, x, _ = case
         n = x.shape[0]
-        filt = ColumnFilter(taps[:, np.newaxis], (n, 1))
+        filt = ColumnFilter(ConvKernel(taps[:, np.newaxis]), (n, 1))
         dense = dense_column_blur(taps, n)
         impulse = np.zeros((n, 1))
         impulse[where % n] = value
@@ -952,15 +959,21 @@ class TestColumnFilter:
         filt = blur_operator(kernel, (128, 2))
         assert isinstance(filt, FourierFilter) and blur_operator(filt, (128, 2)) is filt
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_nan_and_negative_taps_rejected(self, bad):
+        """Negative taps would blur a column of ones to -3."""
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ColumnFilter(np.full((3, 1), bad), (8, 1))
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match="larger than image"):
-            ColumnFilter(np.ones((5, 1)), (4, 1))
+            ColumnFilter(ConvKernel(np.ones((5, 1))), (4, 1))
         with pytest.raises(ValueError, match="larger than image"):
             blur_operator(make_kernel(np.ones((3, 3))), (8, 1))
         with pytest.raises(ValueError, match="N x 1"):
-            ColumnFilter(np.ones((3, 1)), (8, 2))
+            ColumnFilter(ConvKernel(np.ones((3, 1))), (8, 2))
         with pytest.raises(ValueError, match="does not match"):
-            ColumnFilter(np.ones((3, 1)), (8, 1)).forward(np.ones(8))
+            ColumnFilter(ConvKernel(np.ones((3, 1))), (8, 1)).forward(np.ones(8))
 
 
 _EPS = np.finfo(np.float64).eps

@@ -686,6 +686,35 @@ class TestTraceArrays:
         assert SolverTrace().rel_change.shape == (0,)
 
 
+class TestZeroStateIsAFixedPoint:
+    """A multiplicative step never leaves an all-zero state, so all-zero
+    data converge there instead of recording infinite steps to max_iters."""
+
+    @pytest.mark.parametrize(
+        "method,shape", [("rl", (32, 1)), ("srl", (32, 1)), ("rl", (16, 16)), ("srl", (16, 16)),
+                         ("rltv", (16, 16))],
+    )
+    def test_zero_data_converge(self, method, shape):
+        if shape[1] == 1:
+            kernel = gaussian_kernel_1d(0.2 * math.pi)
+            model = ForwardModel(kernel, HaarBoxDictionary(shape[0], (1, 2)))
+        else:
+            kernel = make_kernel(np.ones((3, 3)))
+            model = ForwardModel(kernel, SplineDictionary(shape, 2))
+        res = run_solver(
+            method, np.zeros(shape), kernel=kernel, model=model, config=SolverConfig(max_iters=50)
+        )
+        assert res.trace.terminated_by == "converged" and res.trace.n_iters <= 2
+        assert np.all(np.isfinite(res.trace.rel_change))
+        assert not res.estimate.any()
+
+    def test_a_move_away_from_zero_is_infinite(self, monkeypatch):
+        monkeypatch.setattr(solvers, "rl_step", lambda g, blur, f, *args: np.ones_like(f))
+        res = run_solver("rl", np.ones((8, 1)), kernel=identity_kernel(), init=np.zeros((8, 1)))
+        np.testing.assert_array_equal(res.trace.rel_change, [np.inf, 0.0])
+        assert res.trace.terminated_by == "converged"
+
+
 def _recorded_steps(monkeypatch, name):
     """Outputs of every solvers.<name> call that run_solver makes."""
     steps = []
