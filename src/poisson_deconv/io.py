@@ -12,6 +12,7 @@ num_atoms stride`, then one atom per line, row-major.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -30,18 +31,25 @@ def save_matrix_text(path, a: np.ndarray) -> None:
             fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def load_matrix_text(path) -> np.ndarray:
+def _read_table(path, fields: str) -> tuple[list[int], np.ndarray]:
+    """A text file's header, one positive integer per name in `fields`, and
+    its body as a 2-D array. An empty body gives an empty array and no
+    loadtxt warning, so the caller's shape check is the one message."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header, expected 'rows cols'")
         try:
-            rows, cols = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed header, expected 'rows cols'") from exc
-        if rows < 1 or cols < 1:
-            raise ValueError(f"{path}: nonpositive dimensions in header")
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            values = [int(v) for v in header]
+        except ValueError:
+            values = []
+        if len(values) != len(fields.split()) or min(values) < 1:
+            raise ValueError(f"{path}: malformed header, expected positive integers '{fields}'")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return values, np.loadtxt(fh, dtype=np.float64, ndmin=2)
+
+
+def load_matrix_text(path) -> np.ndarray:
+    (rows, cols), data = _read_table(path, "rows cols")
     if data.shape != (rows, cols):
         raise ValueError(
             f"{path}: header says {rows}x{cols} but body is {data.shape[0]}x{data.shape[1]}"
@@ -144,16 +152,7 @@ def save_atoms(path, atoms: np.ndarray, stride: int) -> None:
 def load_atoms(path) -> tuple[np.ndarray, int]:
     """Read a patch atom file, rejecting negative or non-finite entries.
     Returns (atoms, stride)."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(
-                f"{path}: malformed header, expected 'patch_rows patch_cols num_atoms stride'"
-            )
-        pr, pc, n_atoms, stride = (int(v) for v in header)
-        if min(pr, pc, n_atoms, stride) < 1:
-            raise ValueError(f"{path}: header fields must be positive")
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+    (pr, pc, n_atoms, stride), data = _read_table(path, "patch_rows patch_cols num_atoms stride")
     if data.shape != (n_atoms, pr * pc):
         raise ValueError(
             f"{path}: expected {n_atoms} atoms of {pr * pc} values, got {data.shape}"

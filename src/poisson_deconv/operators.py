@@ -14,14 +14,16 @@ dictionaries map nonnegative coefficients to images:
 
 Composing blur with synthesis gives the forward model used by the sparse
 solver, along with its column-sum vector v (the adjoint applied to the
-all-ones image). For the spline dictionary on 2-D images, where both
-factors are diagonal in the DFT basis, the model is evaluated there in one
-trip each way: J transforms of the coefficients into one summed spectrum,
-then one inverse for the image (clamped at 0) and one for the blurred
-model (from the unclamped sum); the adjoint takes one transform of its
-input and J inverses. An SRL iteration at J = 4 takes 11 plane transforms
-this way, against 14 through image space. The Haar and patch models
-compose blur and synthesis plainly.
+all-ones image), in closed form: the blur's tap sum times each atom's
+pixel sum, which every dictionary keeps as `atom_sums`, so building a
+model runs no adjoint pass. For the spline dictionary on 2-D images,
+where both factors are diagonal in the DFT basis, the model is evaluated
+there in one trip each way: J transforms of the coefficients into one
+summed spectrum, then one inverse for the image (clamped at 0) and one
+for the blurred model (from the unclamped sum); the adjoint takes one
+transform of its input and J inverses. An SRL iteration at J = 4 takes
+11 plane transforms this way, against 14 through image space. The Haar
+and patch models compose blur and synthesis plainly.
 
 Under periodic boundaries the blur and the shift-invariant dictionaries
 are circulant, each fully described by its kernels. On 2-D images, where
@@ -344,9 +346,10 @@ def blur_operator(kernel: ConvKernel | Blur, shape) -> Blur:
 
 
 # ---------------------------------------------------------------------------
-# Dictionaries. Each exposes image_shape, coeff_shape, synthesize and adjoint;
-# synthesize maps nonnegative coefficients to a nonnegative image and adjoint
-# is its exact transpose.
+# Dictionaries. Each exposes image_shape, coeff_shape, atom_sums, synthesize
+# and adjoint; synthesize maps nonnegative coefficients to a nonnegative image
+# and adjoint is its exact transpose. atom_sums holds each atom's pixel sum,
+# cut to length 1 along the axes of coeff_shape over which it shifts.
 # ---------------------------------------------------------------------------
 
 
@@ -387,6 +390,7 @@ class HaarBoxDictionary:
         span = np.arange(n + 2**widest - 1)
         block = {j: b for b, j in enumerate(levels)}
         self._scale = 2.0 ** (-np.array(levels)[:, np.newaxis] / 2.0)
+        self.atom_sums = np.repeat(2.0 ** (np.array(levels) / 2.0), n)  # 2^j entries of 2^(-j/2)
         # Synthesis: each block extended circularly to the left, so entry
         # i + W - 1 ends pixel i's sums; the widest block first, then per
         # narrower width a doubling and that width's block, if any.
@@ -452,7 +456,7 @@ class SplineDictionary:
     image carries J coefficient planes of size N-by-M. Synthesis is the
     sum over scales of the circular convolution of each plane with B_j,
     applied through one FourierFilter over the J kernels; the synthesized
-    image is clamped at 0 against FFT round-off.
+    image is clamped at 0 against FFT round-off. B_j sums to (sum b_j)^2.
     """
 
     def __init__(self, shape: tuple[int, int], n_levels: int):
@@ -461,6 +465,7 @@ class SplineDictionary:
         self.image_shape = self._filter.image_shape
         self.n_levels = int(n_levels)
         self.coeff_shape = self._filter.input_shape
+        self.atom_sums = np.array([b.sum() ** 2 for b in self.generators]).reshape(-1, 1, 1)
 
     def synthesize(self, c, blur: FourierFilter | None = None):
         """The image; with `blur`, a FourierFilter on the image shape, the
@@ -551,6 +556,7 @@ class PatchDictionary:
         if not overlap.all():
             raise ValueError("patch grid leaves pixels uncovered")
         self._sub = _sub_atoms(atoms, stride) / overlap
+        self.atom_sums = self._sub.sum(axis=(0, 1, 3))[np.newaxis]
         # The adjoint's batched matmuls ran 0.4 against 0.7 ms at 512^2 on
         # contiguous transposes rather than transposed views.
         self._sub_t = np.ascontiguousarray(self._sub.swapaxes(2, 3))
@@ -594,18 +600,17 @@ class ForwardModel:
     """Composed measurement map A = H o Phi: dictionary synthesis followed
     by blur, where `blur` is the blur_operator for the image shape.
 
-    A SplineDictionary under a FourierFilter blur takes the fused DFT path
-    the module docstring counts (its methods take the blur); other models
-    compose plainly.
+    A SplineDictionary, always under a FourierFilter blur, takes the fused
+    DFT path the module docstring counts (its methods take the blur);
+    other models compose plainly.
 
-    Precomputes v, the adjoint applied to the all-ones image, which the
-    sparse solver uses as its denominator weight. v is nonnegative by
-    construction and strictly positive whenever every atom retains a
-    positive sample under the blur. A shift-invariant dictionary gives
-    every shift of an atom the same column sum, so `column_sums` keeps v
-    cut to length 1 along each axis on which it is exactly constant (one
-    value per atom or spline level; Haar's flat level blocks stay whole),
-    and `v` is a read-only broadcast view of it over coeff_shape.
+    v, the adjoint applied to the all-ones image, is the sparse solver's
+    denominator weight. The blur's adjoint maps that image to the constant
+    tap sum, so v is the tap sum times the dictionary's `atom_sums`, with
+    no adjoint pass: nonnegative, and positive for each atom with a
+    positive entry when some tap is. `column_sums` holds it with one value
+    per atom or spline level (Haar's flat level blocks stay whole); `v` is
+    a read-only broadcast view of it over coeff_shape.
     """
 
     def __init__(self, kernel: ConvKernel, dictionary):
@@ -614,23 +619,10 @@ class ForwardModel:
         self.image_shape = dictionary.image_shape
         self.coeff_shape = dictionary.coeff_shape
         self.blur = blur_operator(kernel, self.image_shape)
-        self._fused = isinstance(dictionary, SplineDictionary) and isinstance(
-            self.blur, FourierFilter
-        )
-        if isinstance(self.blur, FourierFilter):
-            # The blur's adjoint maps the ones image to the constant tap sum;
-            # filling that in skips a transform whose temporaries would set
-            # the peak memory of a large model's set-up.
-            v = dictionary.adjoint(np.full(self.image_shape, float(kernel.taps.sum())))
-        else:
-            v = self.adjoint(np.ones(self.image_shape))
-        for axis in range(v.ndim):
-            first = v[(slice(None),) * axis + (slice(0, 1),)]
-            if (v == first).all():
-                v = first
-        if np.any(v < 0):
-            raise ValueError("adjoint of the ones image came out negative")
-        self.column_sums = v.copy()  # not a view: the full array is freed
+        # A spline level's 3 x 3 or wider kernel needs an image at least 3
+        # columns wide, so the blur here is always a FourierFilter.
+        self._fused = isinstance(dictionary, SplineDictionary)
+        self.column_sums = float(kernel.taps.sum()) * dictionary.atom_sums
 
     @property
     def v(self) -> np.ndarray:

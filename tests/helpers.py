@@ -101,11 +101,13 @@ def raw_spline_taps(j: int) -> np.ndarray:
 
 
 class IdentityDictionary:
-    """Trivial dictionary whose coefficients are the image itself."""
+    """Trivial dictionary whose coefficients are the image itself: each atom
+    is one unit pixel, so every atom sums to 1."""
 
     def __init__(self, shape: tuple[int, int]):
         self.image_shape = (int(shape[0]), int(shape[1]))
         self.coeff_shape = self.image_shape
+        self.atom_sums = np.ones((1, 1))
 
     def synthesize(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=np.float64)

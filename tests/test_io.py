@@ -1,5 +1,7 @@
 """Matrix text, PGM round trips, and atom files."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,14 @@ class TestMatrixText:
         path.write_text("2 2\n1 2\n")
         with pytest.raises(ValueError):
             load_matrix_text(path)
+
+    def test_empty_body_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("2 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="header says 2x2 but body is"):
+                load_matrix_text(path)
 
 
 class TestPgm:
@@ -127,6 +137,25 @@ class TestAtomFiles:
         path.write_text("2 2 2 1\n1 2 3 4\n")
         with pytest.raises(ValueError):
             load_atoms(path)
+
+    @pytest.mark.parametrize("header", ["8 8 x 4", "8 8 4", "8 8 0 4"])
+    def test_malformed_header_names_the_file_and_fields(self, tmp_path, header):
+        path = tmp_path / "atoms.txt"
+        path.write_text(f"{header}\n1 2 3 4\n")
+        with pytest.raises(ValueError) as info:
+            load_atoms(path)
+        assert str(info.value) == (
+            f"{path}: malformed header, expected positive integers "
+            "'patch_rows patch_cols num_atoms stride'"
+        )
+
+    def test_empty_body_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "atoms.txt"
+        path.write_text("2 2 1 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="expected 1 atoms of 4 values"):
+                load_atoms(path)
 
     @pytest.mark.parametrize(
         "atoms,stride,match",
