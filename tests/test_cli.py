@@ -160,6 +160,15 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_malformed_image_file_names_the_file(self, tmp_path, capsys):
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(b"P5\n2 x\n255\n" + bytes(4))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"experiment=twod_splines\nimage_file={image}\nout_dir={tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert f"error: {image}: malformed PGM header" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_lambda_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(f"experiment=oned_high\nout_dir={tmp_path / 'out'}\nlambda=nan\n")

@@ -1,5 +1,6 @@
 """Matrix text, PGM round trips, and atom files."""
 
+import re
 import warnings
 
 import numpy as np
@@ -89,6 +90,25 @@ class TestPgm:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ValueError):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"2 x", b"-2 2", b"0 2", b"2 2.5", b"2 2 x"])
+    def test_malformed_header_names_the_file(self, tmp_path, header):
+        """Dimensions must be positive integers: a bare int() error, or a
+        negative read length, would not say which file is at fault."""
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n255\n" + bytes(8))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed PGM header")):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("sidecar", ["", "3", "1 2 3", "x 2", "nan 2", "0 inf", "5 1"])
+    def test_malformed_sidecar_names_the_file(self, tmp_path, sidecar):
+        """The sidecar holds two finite numbers `min max` with min <= max;
+        `5 1` would silently invert the image."""
+        path = tmp_path / "img.pgm"
+        save_pgm(path, np.arange(4.0).reshape(2, 2))
+        (tmp_path / "img.pgm.scale").write_text(sidecar + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}.scale: malformed scale sidecar")):
             load_pgm(path)
 
 

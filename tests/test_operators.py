@@ -15,6 +15,7 @@ from scipy import ndimage
 
 from helpers import (
     IdentityDictionary,
+    fft_transfer,
     identity_kernel,
     inner,
     raw_spline_taps,
@@ -853,6 +854,35 @@ def _close(a, b):
     np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * max(1.0, np.abs(b).max()))
 
 
+def _transfer_cases():
+    """{name: (kernel or list of kernels, image shape)} on odd, even and mixed
+    image sizes: a symmetric blur, asymmetric taps (a complex transfer
+    function), the spline levels that fit, and random taps as large as the
+    image."""
+    rng = np.random.default_rng(24)
+    cases = {}
+    for shape in [(5, 7), (24, 20), (100, 37), (511, 513), (512, 512)]:
+        largest = tuple(n - 1 + n % 2 for n in shape)  # the largest odd sizes that fit
+        name = "x".join(map(str, shape))
+        half = min(7, (min(shape) - 1) // 2)
+        cases[f"{name}-symmetric"] = (inverse_quadratic_kernel(half), shape)
+        asymmetric = rng.random((min(9, largest[0]), min(5, largest[1])))
+        cases[f"{name}-asymmetric"] = (ConvKernel(asymmetric), shape)
+        levels = [np.outer(b, b) for b in spline_generators(4) if len(b) <= min(shape)]
+        cases[f"{name}-spline"] = ([ConvKernel(k) for k in levels], shape)
+        cases[f"{name}-image-size"] = (ConvKernel(rng.random(largest)), shape)
+    return cases
+
+
+def _assert_transfer_close(filt, kernels):
+    """Each level's transfer function within 8 eps times its tap sum of the
+    FFT of its taps wrapped onto the image grid, its imaginary part included."""
+    taps = [k.taps for k in kernels]
+    want = fft_transfer(taps, filt.image_shape)
+    for got, w, k in zip(filt.transfer.reshape(want.shape), want, taps):
+        assert np.abs(got - w).max() <= 8 * _EPS * k.sum()
+
+
 class TestFourierFilter:
     """The transfer-function path against the direct ndimage passes."""
 
@@ -888,6 +918,51 @@ class TestFourierFilter:
             _close(adjoint(y), spline_adjoint_direct(y, d.generators))
         lhs, rhs = inner(filt.forward(c), y), inner(c, filt.adjoint(y))
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("name", list(_transfer_cases()))
+    def test_transfer_matches_the_fft_of_the_wrapped_taps(self, name):
+        kernel, shape = _transfer_cases()[name]
+        filt = FourierFilter(kernel, shape)
+        kernels = kernel if isinstance(kernel, list) else [kernel]
+        assert (filt.transfer.dtype.kind == "c") == name.endswith(("asymmetric", "image-size"))
+        _assert_transfer_close(filt, kernels)
+
+    def test_spline_levels_share_the_widest_tables(self):
+        """J = 4 levels on 40 x 36: the narrower levels read slices of the
+        31-tap level's tables, and level 2, whose taps are one ulp off
+        symmetric, still gets a real transfer function."""
+        d = SplineDictionary((40, 36), 4)
+        kernels = [ConvKernel(np.outer(b, b)) for b in d.generators]
+        assert not np.array_equal(kernels[2].taps, kernels[2].taps[::-1, ::-1])
+        assert d._filter.transfer.dtype == np.float64 and d._filter.transfer.shape == (4, 40, 19)
+        _assert_transfer_close(d._filter, kernels)
+
+    def test_building_runs_no_fft(self, monkeypatch):
+        """Building a filter, a spline dictionary or a 2-D model calls no
+        np.fft function; with np.fft back, what was built blurs as
+        conv_forward does."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.fft called while building an operator")
+
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, refuse)
+        rng = np.random.default_rng(25)
+        kernel = inverse_quadratic_kernel(3)
+        filt = FourierFilter(kernel, (24, 20))
+        spline = SplineDictionary((24, 20), 3)
+        models = [
+            ForwardModel(kernel, spline),
+            ForwardModel(kernel, PatchDictionary(rng.random((3, 4, 4)), 2, (24, 20))),
+        ]
+        monkeypatch.undo()
+        x = rng.random((24, 20))
+        _close(filt.forward(x), conv_forward(kernel, x))
+        c = rng.random(spline.coeff_shape)
+        _close(spline.synthesize(c), spline_synthesize_direct(c, spline.generators))
+        for m in models:
+            image, blurred = m.evaluate(rng.random(m.coeff_shape))
+            _close(blurred, conv_forward(kernel, image))
 
     def test_model_matches_direct_composition(self):
         rng = np.random.default_rng(40)
